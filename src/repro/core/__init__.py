@@ -11,6 +11,7 @@ pairs statistical detection (Spark aggregations from
 (:mod:`repro.core.sql_emit`) that Spark executes — and that the DuckDB
 oracle re-executes in tests.
 """
-from repro.core.pipeline import CleanReport, CocoonConfig, CocoonPipeline, StepReport
+from repro.core.outcome import ColumnOutcome
+from repro.core.pipeline import CleanReport, CocoonPipeline, StepReport
 
-__all__ = ["CleanReport", "CocoonConfig", "CocoonPipeline", "StepReport"]
+__all__ = ["CleanReport", "CocoonPipeline", "ColumnOutcome", "StepReport"]

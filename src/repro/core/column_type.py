@@ -12,28 +12,8 @@ The step is skipped when the profile does not cover every distinct value
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.outcome import ColumnOutcome
 from repro.llm.client import LLMClient, ValueCounts
-from repro.llm.types import TypeSuggestion
-
-
-@dataclass
-class ColumnTypeResult:
-    column: str
-    suggestion: TypeSuggestion | None
-
-    @property
-    def mapping(self) -> dict[str, str]:
-        return self.suggestion.mapping if self.suggestion else {}
-
-    @property
-    def target_type(self) -> str:
-        return self.suggestion.target_type if self.suggestion else "VARCHAR"
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.mapping)
 
 
 def clean_column_type(
@@ -43,10 +23,12 @@ def clean_column_type(
     *,
     n_distinct: int,
     current_type: str = "VARCHAR",
-) -> ColumnTypeResult:
+) -> ColumnOutcome:
     if n_distinct > len(counts):
-        return ColumnTypeResult(column=column, suggestion=None)
-    return ColumnTypeResult(
-        column=column,
-        suggestion=llm.suggest_type(column, current_type, list(counts)),
-    )
+        return ColumnOutcome(False, f"type {current_type}, no rewrite needed")
+    s = llm.suggest_type(column, current_type, list(counts))
+    if not s.mapping:
+        return ColumnOutcome(False, f"type {s.target_type}, no rewrite needed")
+    return ColumnOutcome(
+        True, f"cast to {s.target_type} ({len(s.mapping)} values rewritten)",
+        f"CAST AS {s.target_type} -- {s.reasoning}", mapping=s.mapping)

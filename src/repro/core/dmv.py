@@ -6,25 +6,16 @@ is ``CASE WHEN col IN (...) THEN NULL ELSE col END``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.outcome import ColumnOutcome
 from repro.llm.client import LLMClient, ValueCounts
-from repro.llm.types import DMVReview
 
 
-@dataclass
-class DMVResult:
-    column: str
-    review: DMVReview
-
-    @property
-    def values(self) -> tuple[str, ...]:
-        return self.review.dmv_values
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.review.dmv_values)
-
-
-def clean_dmv(column: str, counts: ValueCounts, llm: LLMClient) -> DMVResult:
-    return DMVResult(column=column, review=llm.review_dmv(column, list(counts)))
+def clean_dmv(column: str, counts: ValueCounts,
+              llm: LLMClient) -> ColumnOutcome:
+    review = llm.review_dmv(column, list(counts))
+    values = review.dmv_values
+    if not values:
+        return ColumnOutcome(False, "no disguised missing values")
+    return ColumnOutcome(
+        True, f"nulled disguised missing values {list(values)!r}",
+        review.reasoning, nulled=values)

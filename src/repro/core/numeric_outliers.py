@@ -8,23 +8,12 @@ step (§2.1's ordering), so values are canonical numeric renderings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
+from repro.core.outcome import ColumnOutcome
 from repro.llm.client import LLMClient, ValueCounts
-from repro.llm.types import NumericRangeReview
 
 _NUM_RE = re.compile(r"^\s*-?\d+(\.\d+)?\s*$")
-
-
-@dataclass
-class NumericOutlierResult:
-    column: str
-    review: NumericRangeReview | None
-    out_of_range: list[str] = field(default_factory=list)
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.out_of_range)
+_NONE = ColumnOutcome(False, "no numeric outliers")
 
 
 def clean_numeric_outliers(
@@ -34,26 +23,27 @@ def clean_numeric_outliers(
     *,
     n_distinct: int,
     min_numeric_frac: float = 0.8,
-) -> NumericOutlierResult:
+) -> ColumnOutcome:
     """Flag enumerated out-of-range values of a numeric-looking column.
 
-    Skipped when the column is not predominantly numeric or when the
-    profile does not cover all distinct values (the out-of-range list
-    must be exhaustive to be emitted as an ``IN`` clause).
+    Skipped when the column is not predominantly numeric or when
+    ``n_distinct`` exceeds ``len(counts)``: the profile missed values,
+    and the out-of-range list must be exhaustive to be emitted as an
+    ``IN`` clause.
     """
     numeric = [(v, c, float(v)) for v, c in counts if _NUM_RE.match(v)]
     total = sum(c for _, c in counts)
     if not numeric or n_distinct > len(counts):
-        return NumericOutlierResult(column=column, review=None)
+        return _NONE
     if sum(c for _, c, _ in numeric) / max(total, 1) < min_numeric_frac:
-        return NumericOutlierResult(column=column, review=None)
+        return _NONE
     lo = min(x for _, _, x in numeric)
     hi = max(x for _, _, x in numeric)
     review = llm.review_numeric_range(column, lo, hi)
-    if not review.has_range:
-        return NumericOutlierResult(column=column, review=review)
-    out = [v for v, _, x in numeric
-           if (review.lo is not None and x < review.lo)
-           or (review.hi is not None and x > review.hi)]
-    return NumericOutlierResult(column=column, review=review,
-                                out_of_range=sorted(out))
+    out = sorted(v for v, _, x in numeric
+                 if (review.lo is not None and x < review.lo)
+                 or (review.hi is not None and x > review.hi))
+    if not review.has_range or not out:
+        return _NONE
+    return ColumnOutcome(True, f"nulled out-of-range values {out!r}",
+                         review.reasoning, nulled=tuple(out))

@@ -8,27 +8,17 @@ a minority date format). Cleaning is a value-mapping ``CASE WHEN`` layer
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.outcome import ColumnOutcome
 from repro.llm.client import LLMClient, ValueCounts
-from repro.llm.types import PatternReview
-
-
-@dataclass
-class PatternOutlierResult:
-    column: str
-    review: PatternReview
-
-    @property
-    def mapping(self) -> dict[str, str]:
-        return self.review.mapping
-
-    @property
-    def detected(self) -> bool:
-        return self.review.inconsistent
 
 
 def clean_pattern_outliers(column: str, counts: ValueCounts,
-                           llm: LLMClient) -> PatternOutlierResult:
-    return PatternOutlierResult(column=column,
-                                review=llm.review_patterns(column, list(counts)))
+                           llm: LLMClient) -> ColumnOutcome:
+    """Detected means the LLM found the patterns inconsistent, even when
+    it proposes no normalization."""
+    review = llm.review_patterns(column, list(counts))
+    if not review.inconsistent:
+        return ColumnOutcome(False, "patterns consistent")
+    return ColumnOutcome(
+        True, f"normalized {len(review.mapping)} values to the dominant "
+        "pattern", review.reasoning, mapping=review.mapping)

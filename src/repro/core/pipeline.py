@@ -1,12 +1,16 @@
 """The Cocoon cleaning pipeline (paper Figure 1).
 
 ``CocoonPipeline.clean`` decomposes cleaning along the paper's two
-dimensions. Per column, in the §2.1-mandated order: string outliers ->
-pattern outliers -> disguised missing values -> column type -> numeric
-outliers. Then table-level: functional dependencies -> misplacement ->
-duplication -> column uniqueness. Each step couples Spark statistical
-detection with LLM semantic detection/cleaning and contributes a
-commented SQL layer; the final artifact is one nested-CTE statement that
+dimensions. Per column, it runs a five-entry step table in the
+§2.1-mandated order: string outliers -> pattern outliers -> disguised
+missing values -> column type -> numeric outliers. Every entry returns
+a :class:`~repro.core.outcome.ColumnOutcome` (values to rewrite or to
+null, plus summary and reasoning); one loop turns each outcome into a
+commented SQL layer and folds it into the column's frequency vector.
+Then table-level: misplacement -> functional dependencies ->
+duplication -> column uniqueness, each with its own plan type. Every
+step couples Spark statistical detection with LLM semantic
+detection/cleaning; the final artifact is one nested-CTE statement that
 Spark executes (and the DuckDB oracle re-executes in tests).
 
 The input table must be all-string columns plus a ``row_id`` surrogate
@@ -32,21 +36,12 @@ from repro.core.string_outliers import clean_string_outliers
 from repro.core.uniqueness import clean_uniqueness
 from repro.llm.client import LLMClient
 from repro.profiling.column_profile import profile_table
-from pyspark.sql import functions as F
+from repro.profiling.duplicates import unique_ratios
 
-
-@dataclass(frozen=True)
-class CocoonConfig:
-    """Pipeline knobs; defaults follow the paper (§2.1: 1000-value
-    samples and batches)."""
-
-    sample_values: int = 1000
-    max_distinct: int = 5000
-    row_id: str = "row_id"
-    enable_fd: bool = True
-    enable_misplacement: bool = True
-    enable_duplication: bool = True
-    enable_uniqueness: bool = True
+#: top values profiled per column; a column with more distinct values
+#: skips the steps that need an exhaustive value list
+MAX_DISTINCT = 5000
+ROW_ID = "row_id"
 
 
 @dataclass(frozen=True)
@@ -72,199 +67,151 @@ class CleanReport:
 
 
 class CocoonPipeline:
-    def __init__(self, llm: LLMClient,
-                 config: CocoonConfig | None = None) -> None:
+    def __init__(self, llm: LLMClient) -> None:
         self.llm = llm
-        self.config = config or CocoonConfig()
 
     # ------------------------------------------------------------------
 
     def clean(self, df: DataFrame, table_name: str = "data") -> CleanReport:
-        cfg = self.config
         spark = df.sparkSession
         view = f"cocoon_{table_name}"
         df = df.cache()
-        total = df.count()
         df.createOrReplaceTempView(view)
         all_cols = list(df.columns)
-        cols = [c for c in all_cols if c != cfg.row_id]
+        cols = [c for c in all_cols if c != ROW_ID]
         calls0 = getattr(self.llm, "calls", 0)
         report = CleanReport(cleaned=df, sql="", view=view)
 
-        # ---- stage A: per-column steps --------------------------------
-        string_l = Layer("clean_string_outliers")
-        pattern_l = Layer("clean_pattern_outliers")
-        dmv_l = Layer("clean_dmv")
-        type_l = Layer("clean_column_type")
-        numeric_l = Layer("clean_numeric_outliers")
+        # ---- stage A: the per-column step table -----------------------
+        # Built per call so each entry is looked up in this module's
+        # namespace when clean() runs (tracing wraps these names).
+        steps = (
+            ("string_outliers", clean_string_outliers),
+            ("pattern_outliers", clean_pattern_outliers),
+            ("dmv", clean_dmv),
+            ("column_type", clean_column_type),
+            ("numeric_outliers", clean_numeric_outliers),
+        )
+        step_layers = {name: Layer(f"clean_{name}") for name, _ in steps}
         counts_by_col: dict[str, tuple[tuple[str, int], ...]] = {}
         covered: dict[str, bool] = {}
-        profiles = profile_table(df, cols, top_k=cfg.max_distinct)
+        profiles = profile_table(df, cols, top_k=MAX_DISTINCT)
+        total = profiles[cols[0]].total
 
         for c in cols:
             prof = profiles[c]
             counts = prof.top_values
-            covered[c] = prof.n_distinct <= len(prof.top_values)
-
-            so = clean_string_outliers(c, list(counts), self.llm,
-                                       batch_size=cfg.sample_values)
-            report.steps.append(StepReport(
-                "string_outliers", c, so.detected,
-                f"mapped {len(so.mapping)} values" if so.detected
-                else "no string outliers"))
-            if so.mapping:
-                string_l.exprs[c] = sql_emit.mapping_case(c, so.mapping)
-                string_l.comments.append(
-                    f"{c}: {so.responses[-1].reasoning}")
-                counts = counts_util.apply_mapping(counts, so.mapping)
-
-            po = clean_pattern_outliers(c, counts, self.llm)
-            report.steps.append(StepReport(
-                "pattern_outliers", c, po.detected,
-                f"normalized {len(po.mapping)} values to the dominant "
-                "pattern" if po.detected else "patterns consistent"))
-            if po.mapping:
-                pattern_l.exprs[c] = sql_emit.mapping_case(c, po.mapping)
-                pattern_l.comments.append(f"{c}: {po.review.reasoning}")
-                counts = counts_util.apply_mapping(counts, po.mapping)
-
-            dm = clean_dmv(c, counts, self.llm)
-            report.steps.append(StepReport(
-                "dmv", c, dm.detected,
-                f"nulled disguised missing values {list(dm.values)!r}"
-                if dm.detected else "no disguised missing values"))
-            if dm.values:
-                dmv_l.exprs[c] = sql_emit.null_case(c, list(dm.values))
-                dmv_l.comments.append(f"{c}: {dm.review.reasoning}")
-                counts = counts_util.remove_values(counts, dm.values)
-
-            n_eff = len(counts) if covered[c] else prof.n_distinct
-            ct = clean_column_type(c, counts, self.llm, n_distinct=n_eff)
-            report.steps.append(StepReport(
-                "column_type", c, ct.detected,
-                f"cast to {ct.target_type} ({len(ct.mapping)} values "
-                "rewritten)" if ct.detected else
-                f"type {ct.target_type}, no rewrite needed"))
-            if ct.mapping:
-                type_l.exprs[c] = sql_emit.mapping_case(c, ct.mapping)
-                type_l.comments.append(
-                    f"{c}: CAST AS {ct.target_type} -- "
-                    f"{ct.suggestion.reasoning}")
-                counts = counts_util.apply_mapping(counts, ct.mapping)
-
-            no = clean_numeric_outliers(c, counts, self.llm, n_distinct=n_eff)
-            report.steps.append(StepReport(
-                "numeric_outliers", c, no.detected,
-                f"nulled out-of-range values {no.out_of_range!r}"
-                if no.detected else "no numeric outliers"))
-            if no.out_of_range:
-                numeric_l.exprs[c] = sql_emit.null_case(c, no.out_of_range)
-                numeric_l.comments.append(f"{c}: {no.review.reasoning}")
-                counts = counts_util.remove_values(counts, no.out_of_range)
-
+            covered[c] = prof.n_distinct <= len(counts)
+            kwargs = {}
+            for name, step in steps:
+                if name == "column_type":
+                    # Counted once, after the DMV step: the numeric step
+                    # gets the same figure, so it skips a column whose
+                    # renderings the type step merged.
+                    kwargs["n_distinct"] = (len(counts) if covered[c]
+                                            else prof.n_distinct)
+                out = step(c, counts, self.llm, **kwargs)
+                report.steps.append(
+                    StepReport(name, c, out.detected, out.summary))
+                layer = step_layers[name]
+                if out.mapping:
+                    layer.exprs[c] = sql_emit.mapping_case(c, out.mapping)
+                    counts = counts_util.apply_mapping(counts, out.mapping)
+                elif out.nulled:
+                    layer.exprs[c] = sql_emit.null_case(c, list(out.nulled))
+                    counts = counts_util.remove_values(counts, out.nulled)
+                else:
+                    continue
+                layer.comments.append(f"{c}: {out.comment}")
             counts_by_col[c] = counts
 
-        layers = [l for l in (string_l, pattern_l, dmv_l, type_l, numeric_l)
-                  if l.exprs]
+        layers = [l for l in step_layers.values() if l.exprs]
 
         # ---- stage B: misplacement and FDs over the column-cleaned data.
         # Swaps come first: misplacement is a row-local structural fix,
         # and FD group repairs would otherwise overwrite the swap
         # evidence in the repaired column.
         df_a = spark.sql(build_sql(view, layers, all_cols)).cache()
-        if cfg.enable_misplacement:
-            mis = clean_misplacement(df_a, counts_by_col, self.llm)
-            swapped_cols: set[str] = set()
-            for j, swap in enumerate(mis.swaps):
-                if {swap.col_a, swap.col_b} & swapped_cols:
-                    continue
-                swapped_cols |= {swap.col_a, swap.col_b}
-                a_expr, b_expr = sql_emit.swap_case(
-                    swap.col_a, swap.col_b,
-                    swap.a_offending, swap.b_offending)
-                layer = Layer(f"clean_misplacement_{j}")
-                layer.exprs[swap.col_a] = a_expr
-                layer.exprs[swap.col_b] = b_expr
-                layer.comments.append(
-                    f"{swap.col_a} <-> {swap.col_b}: {swap.n_evidence} rows "
-                    "hold each other's values; swap them back")
-                layers.append(layer)
-                report.steps.append(StepReport(
-                    "misplacement", f"{swap.col_a}/{swap.col_b}", True,
-                    f"swapped {swap.n_evidence} misplaced value pairs"))
-            if not mis.swaps:
-                report.steps.append(StepReport(
-                    "misplacement", None, False, "no misplaced columns"))
+        mis = clean_misplacement(df_a, counts_by_col, self.llm)
+        swapped_cols: set[str] = set()
+        for j, swap in enumerate(mis.swaps):
+            if {swap.col_a, swap.col_b} & swapped_cols:
+                continue
+            swapped_cols |= {swap.col_a, swap.col_b}
+            a_expr, b_expr = sql_emit.swap_case(
+                swap.col_a, swap.col_b,
+                swap.a_offending, swap.b_offending)
+            layer = Layer(f"clean_misplacement_{j}")
+            layer.exprs[swap.col_a] = a_expr
+            layer.exprs[swap.col_b] = b_expr
+            layer.comments.append(
+                f"{swap.col_a} <-> {swap.col_b}: {swap.n_evidence} rows "
+                "hold each other's values; swap them back")
+            layers.append(layer)
+            report.steps.append(StepReport(
+                "misplacement", f"{swap.col_a}/{swap.col_b}", True,
+                f"swapped {swap.n_evidence} misplaced value pairs"))
+        if not mis.swaps:
+            report.steps.append(StepReport(
+                "misplacement", None, False, "no misplaced columns"))
 
-        if cfg.enable_fd:
-            n_distinct = {
-                c: (len(counts_by_col[c]) if covered[c] else cfg.max_distinct + 1)
-                for c in cols
-            }
-            fd = clean_fds(df_a, cols, self.llm, n_distinct=n_distinct,
-                           total=total)
-            for i, plan in enumerate(fd.repairs):
-                layer = Layer(f"clean_fd_{i}")
-                layer.exprs[plan.rhs] = sql_emit.fd_repair_case(
-                    plan.lhs, plan.rhs, plan.mapping)
-                layer.comments.append(
-                    f"FD {plan.lhs} -> {plan.rhs} (H={plan.conditional_entropy:.3f}): "
-                    f"repaired {len(plan.mapping)} groups, abstained on "
-                    f"{len(plan.abstained)} ambiguous groups")
-                layers.append(layer)
-                report.steps.append(StepReport(
-                    "functional_dependency", plan.rhs, True,
-                    f"{plan.lhs} -> {plan.rhs}: repaired "
-                    f"{len(plan.mapping)} groups, abstained "
-                    f"{len(plan.abstained)}"))
-            if not fd.repairs:
-                report.steps.append(StepReport(
-                    "functional_dependency", None, False,
-                    "no meaningful FD with repairable violations"))
+        n_distinct = {
+            c: (len(counts_by_col[c]) if covered[c] else MAX_DISTINCT + 1)
+            for c in cols
+        }
+        fd = clean_fds(df_a, cols, self.llm, n_distinct=n_distinct,
+                       total=total)
+        for i, plan in enumerate(fd.repairs):
+            layer = Layer(f"clean_fd_{i}")
+            layer.exprs[plan.rhs] = sql_emit.fd_repair_case(
+                plan.lhs, plan.rhs, plan.mapping)
+            layer.comments.append(
+                f"FD {plan.lhs} -> {plan.rhs} (H={plan.conditional_entropy:.3f}): "
+                f"repaired {len(plan.mapping)} groups, abstained on "
+                f"{len(plan.abstained)} ambiguous groups")
+            layers.append(layer)
+            report.steps.append(StepReport(
+                "functional_dependency", plan.rhs, True,
+                f"{plan.lhs} -> {plan.rhs}: repaired "
+                f"{len(plan.mapping)} groups, abstained "
+                f"{len(plan.abstained)}"))
+        if not fd.repairs:
+            report.steps.append(StepReport(
+                "functional_dependency", None, False,
+                "no meaningful FD with repairable violations"))
         df_a.unpersist()
 
         # ---- stage C: duplication and uniqueness over repaired data ----
         df_b = spark.sql(build_sql(view, layers, all_cols)).cache()
-        if cfg.enable_duplication:
-            dup = clean_duplication(df_b, table_name, cols, self.llm)
-            report.steps.append(StepReport(
-                "duplication", None, dup.detected,
-                (f"{dup.surplus} surplus duplicate rows"
-                 + ("; removed" if dup.should_dedupe else "; acceptable"))
-                if dup.detected else "no duplicate rows"))
-            if dup.should_dedupe:
-                layers.append(Layer(
-                    "clean_duplication", kind="window_dedupe",
-                    comments=[dup.review.reasoning],
-                    key_cols=cols, order_col=cfg.row_id))
+        dup = clean_duplication(df_b, table_name, cols, self.llm)
+        report.steps.append(StepReport(
+            "duplication", None, dup.detected,
+            (f"{dup.surplus} surplus duplicate rows"
+             + ("; removed" if dup.should_dedupe else "; acceptable"))
+            if dup.detected else "no duplicate rows"))
+        if dup.should_dedupe:
+            layers.append(Layer(
+                "clean_duplication", kind="window_dedupe",
+                comments=[dup.review.reasoning],
+                key_cols=cols, order_col=ROW_ID))
 
-        if cfg.enable_uniqueness:
-            aggs = []
-            for c in cols:
-                aggs.append(F.count_distinct(F.col(c)).alias(f"{c}__d"))
-                aggs.append(F.count(F.col(c)).alias(f"{c}__n"))
-            row = df_b.agg(*aggs).collect()[0]
-            ratios = {
-                c: (row[f"{c}__d"] / row[f"{c}__n"] if row[f"{c}__n"] else 1.0)
-                for c in cols
-            }
-            uq = clean_uniqueness(cols, ratios, self.llm)
-            for plan in uq.plans:
-                layers.append(Layer(
-                    f"clean_uniqueness_{plan.column}", kind="window_dedupe",
-                    comments=[plan.review.reasoning],
-                    key_cols=[plan.column],
-                    order_col=plan.order_by or cfg.row_id,
-                    order_desc=plan.order_by is not None))
-                report.steps.append(StepReport(
-                    "uniqueness", plan.column, True,
-                    f"deduplicated on {plan.column} keeping "
-                    + (f"latest {plan.order_by}" if plan.order_by
-                       else "first row")))
-            if not uq.plans:
-                report.steps.append(StepReport(
-                    "uniqueness", None, False,
-                    "no should-be-unique column with duplicates"))
+        uq = clean_uniqueness(cols, unique_ratios(df_b, cols), self.llm)
+        for plan in uq.plans:
+            layers.append(Layer(
+                f"clean_uniqueness_{plan.column}", kind="window_dedupe",
+                comments=[plan.review.reasoning],
+                key_cols=[plan.column],
+                order_col=plan.order_by or ROW_ID,
+                order_desc=plan.order_by is not None))
+            report.steps.append(StepReport(
+                "uniqueness", plan.column, True,
+                f"deduplicated on {plan.column} keeping "
+                + (f"latest {plan.order_by}" if plan.order_by
+                   else "first row")))
+        if not uq.plans:
+            report.steps.append(StepReport(
+                "uniqueness", None, False,
+                "no should-be-unique column with duplicates"))
         df_b.unpersist()
 
         report.sql = build_sql(view, layers, all_cols)

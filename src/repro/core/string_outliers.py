@@ -7,21 +7,8 @@ erroneous->correct mapping (Fig. 3) executed as a ``CASE WHEN`` layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.core.outcome import ColumnOutcome
 from repro.llm.client import LLMClient, ValueCounts
-from repro.llm.types import LLMResponse
-
-
-@dataclass
-class StringOutlierResult:
-    column: str
-    mapping: dict[str, str]
-    responses: list[LLMResponse] = field(default_factory=list)
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.mapping)
 
 
 def clean_string_outliers(
@@ -31,15 +18,16 @@ def clean_string_outliers(
     *,
     batch_size: int = 1000,
     context_top: int = 200,
-) -> StringOutlierResult:
+) -> ColumnOutcome:
     """Review value batches and collect the combined cleaning mapping.
 
     Each cleaning call sees the batch plus the column's overall most
     frequent values (``context_top``) so a typo in a late batch can
     still be mapped onto a frequent correct value from an early one.
+    The SQL comment is the reasoning of the last prompt in call order.
     """
     top_context = counts[:context_top]
-    responses: list[LLMResponse] = []
+    reasoning = ""
     mapping: dict[str, str] = {}
     for start in range(0, len(counts), batch_size):
         batch = counts[start:start + batch_size]
@@ -49,14 +37,14 @@ def clean_string_outliers(
         # against (and mapped onto) donors from early batches
         frequent = list(batch) + [vc for vc in top_context if vc[0] not in seen]
         review = llm.review_string_outliers(column, frequent)
-        responses.append(review)
+        reasoning = review.reasoning
         if not review.unusual:
             continue
         batch_unusual = [v for v in review.unusual_values if v in seen]
         if not batch_unusual:
             continue
         fix = llm.map_string_outliers(column, batch_unusual, frequent)
-        responses.append(fix)
+        reasoning = fix.reasoning
         for bad, good in fix.mapping.items():
             if bad != good:
                 mapping[bad] = good
@@ -68,5 +56,7 @@ def clean_string_outliers(
             seen.add(tgt)
             tgt = mapping[tgt]
         mapping[bad] = tgt
-    return StringOutlierResult(column=column, mapping=mapping,
-                               responses=responses)
+    if not mapping:
+        return ColumnOutcome(False, "no string outliers")
+    return ColumnOutcome(True, f"mapped {len(mapping)} values",
+                         reasoning, mapping=mapping)

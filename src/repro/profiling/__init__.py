@@ -8,13 +8,8 @@ duplicate-row / unique-ratio scans (:mod:`duplicates`). The profiles are
 what Cocoon puts into the LLM prompts so the model can reason about data
 too large to fit in context.
 """
-from repro.profiling.column_profile import (
-    ColumnProfile,
-    numeric_min_max,
-    profile_column,
-    profile_table,
-)
-from repro.profiling.duplicates import duplicate_rows, unique_ratio
+from repro.profiling.column_profile import ColumnProfile, profile_table
+from repro.profiling.duplicates import duplicate_rows, unique_ratios
 from repro.profiling.fd import FDCandidate, discover_fds, violating_groups
 
 __all__ = [
@@ -22,9 +17,7 @@ __all__ = [
     "FDCandidate",
     "discover_fds",
     "duplicate_rows",
-    "numeric_min_max",
-    "profile_column",
     "profile_table",
-    "unique_ratio",
+    "unique_ratios",
     "violating_groups",
 ]

@@ -31,44 +31,8 @@ class ColumnProfile:
         return self.total - self.nulls
 
     @property
-    def null_ratio(self) -> float:
-        return self.nulls / self.total if self.total else 0.0
-
-    @property
     def unique_ratio(self) -> float:
         return self.n_distinct / self.non_null if self.non_null else 0.0
-
-
-def profile_column(df: DataFrame, column: str, *, top_k: int = 1000,
-                   total: int | None = None) -> ColumnProfile:
-    """Profile ``column`` with two aggregations (counts + top-K values).
-
-    ``total`` lets callers that already know ``df.count()`` (e.g. the
-    pipeline profiling every column of one cached table) skip the extra
-    scan.
-    """
-    c = F.col(column)
-    counts = df.agg(
-        F.count(F.lit(1)).alias("total"),
-        F.count(c).alias("non_null"),
-        F.count_distinct(c).alias("n_distinct"),
-    ).collect()[0]
-    n_total = total if total is not None else counts["total"]
-    top = (
-        df.where(c.isNotNull())
-        .groupBy(c.alias("v"))
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .orderBy(F.desc("cnt"), F.asc("v"))
-        .limit(top_k)
-        .collect()
-    )
-    return ColumnProfile(
-        name=column,
-        total=n_total,
-        nulls=n_total - counts["non_null"],
-        n_distinct=counts["n_distinct"],
-        top_values=tuple((r["v"], r["cnt"]) for r in top),
-    )
 
 
 def profile_table(df: DataFrame, columns: list[str], *,
@@ -120,21 +84,3 @@ def profile_table(df: DataFrame, columns: list[str], *,
         for c in columns
     }
 
-
-def numeric_min_max(df: DataFrame, column: str) -> tuple[float, float] | None:
-    """Min/max of the values of ``column`` that parse as numbers.
-
-    Uses ``try_cast`` semantics (``cast`` returns NULL on failure outside
-    ANSI mode; we guard with a regexp so ANSI mode is also safe), so a
-    column that mixes numbers with stray text still yields the numeric
-    envelope the paper's §2.1.5 review needs. Returns ``None`` when no
-    value is numeric.
-    """
-    num = F.when(
-        F.col(column).rlike(r"^\s*-?\d+(\.\d+)?\s*$"),
-        F.col(column).cast("double"),
-    )
-    row = df.agg(F.min(num).alias("lo"), F.max(num).alias("hi")).collect()[0]
-    if row["lo"] is None:
-        return None
-    return float(row["lo"]), float(row["hi"])

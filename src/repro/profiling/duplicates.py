@@ -33,10 +33,13 @@ def duplicate_rows(
     return surplus, examples
 
 
-def unique_ratio(df: DataFrame, column: str) -> float:
-    """distinct / non-null count of ``column`` (1.0 for an empty column)."""
-    row = df.agg(
-        F.count_distinct(F.col(column)).alias("d"),
-        F.count(F.col(column)).alias("n"),
-    ).collect()[0]
-    return row["d"] / row["n"] if row["n"] else 1.0
+def unique_ratios(df: DataFrame, columns: list[str]) -> dict[str, float]:
+    """distinct / non-null count of each column (1.0 for an empty
+    column), in one aggregation."""
+    aggs = []
+    for c in columns:
+        aggs.append(F.count_distinct(F.col(c)).alias(f"{c}__d"))
+        aggs.append(F.count(F.col(c)).alias(f"{c}__n"))
+    row = df.agg(*aggs).collect()[0]
+    return {c: row[f"{c}__d"] / row[f"{c}__n"] if row[f"{c}__n"] else 1.0
+            for c in columns}

@@ -17,15 +17,18 @@ LLM = SimulatedLLM()
 # ---------------------------------------------------------------------------
 
 def test_string_outliers_basic():
+    llm = SimulatedLLM()
     counts = [("eng", 400), ("English", 90)]
-    r = clean_string_outliers("lang", counts, LLM)
+    r = clean_string_outliers("lang", counts, llm)
     assert r.detected and r.mapping == {"English": "eng"}
-    assert len(r.responses) == 2  # detection + cleaning prompts
+    assert r.summary == "mapped 1 values" and r.comment
+    assert llm.calls == 2  # detection + cleaning prompts
 
 
 def test_string_outliers_clean_column():
-    r = clean_string_outliers("lang", [("eng", 400), ("fre", 90)], LLM)
-    assert not r.detected and len(r.responses) == 1
+    llm = SimulatedLLM()
+    r = clean_string_outliers("lang", [("eng", 400), ("fre", 90)], llm)
+    assert not r.detected and not r.mapping and llm.calls == 1
 
 
 def test_string_outliers_batching_uses_global_context():
@@ -72,35 +75,41 @@ def test_pattern_outliers_step():
 
 def test_dmv_step():
     r = clean_dmv("county", [("Jefferson", 9), ("N/A", 1)], LLM)
-    assert r.detected and r.values == ("N/A",)
+    assert r.detected and r.nulled == ("N/A",) and not r.mapping
 
 
 def test_column_type_step():
     r = clean_column_type("flag", [("yes", 6), ("no", 4)], LLM, n_distinct=2)
-    assert r.detected and r.target_type == "BOOLEAN"
+    assert r.detected and r.mapping == {"yes": "True", "no": "False"}
+    assert r.summary == "cast to BOOLEAN (2 values rewritten)"
+    assert r.comment.startswith("CAST AS BOOLEAN -- ")
 
 
 def test_column_type_skipped_without_full_coverage():
-    r = clean_column_type("flag", [("yes", 6)], LLM, n_distinct=99)
-    assert r.suggestion is None and not r.detected
+    llm = SimulatedLLM()
+    r = clean_column_type("flag", [("yes", 6)], llm, n_distinct=99)
+    assert not r.detected and not r.mapping and llm.calls == 0
 
 
 def test_numeric_outliers_step():
     counts = [("85.0", 10), ("90.0", 5), ("150.0", 1)]
     r = clean_numeric_outliers("score", counts, LLM, n_distinct=3)
-    assert r.out_of_range == ["150.0"]
+    assert r.detected and r.nulled == ("150.0",)
+    assert r.summary == "nulled out-of-range values ['150.0']"
 
 
 def test_numeric_outliers_skips_textual_column():
+    llm = SimulatedLLM()
     r = clean_numeric_outliers(
-        "city", [("Boston", 9), ("5", 1)], LLM, n_distinct=2)
-    assert not r.detected and r.review is None
+        "city", [("Boston", 9), ("5", 1)], llm, n_distinct=2)
+    assert not r.detected and llm.calls == 0
 
 
 def test_numeric_outliers_skips_partial_coverage():
+    llm = SimulatedLLM()
     r = clean_numeric_outliers(
-        "score", [("85.0", 10)], LLM, n_distinct=1000)
-    assert not r.detected
+        "score", [("85.0", 10)], llm, n_distinct=1000)
+    assert not r.detected and llm.calls == 0
 
 
 # ---------------------------------------------------------------------------

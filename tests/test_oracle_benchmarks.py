@@ -13,7 +13,8 @@ from repro.llm import SimulatedLLM
 from repro.oracle import assert_equivalent
 
 
-@pytest.mark.parametrize("name", ["hospital", "rayyan", "beers"])
+@pytest.mark.parametrize(
+    "name", ["hospital", "rayyan", "beers", "flights", "movies"])
 def test_cocoon_sql_is_engine_portable(spark, name):
     bench = load(name)
     dirty = bench.spark_dirty(spark)

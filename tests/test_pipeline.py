@@ -8,7 +8,7 @@ import pandas as pd
 import pytest
 
 from repro.benchdata.base import to_spark_strings
-from repro.core import CocoonConfig, CocoonPipeline
+from repro.core import CocoonPipeline
 from repro.llm import SimulatedLLM
 from repro.oracle import assert_equivalent
 
@@ -142,16 +142,34 @@ def test_exact_duplicate_rows_removed(spark):
     assert list(out["row_id"]) == ["0", "2"]
 
 
-def test_disable_switches(spark, toy_pdf):
-    cfg = CocoonConfig(enable_fd=False, enable_misplacement=False,
-                       enable_duplication=False, enable_uniqueness=False)
-    rep = CocoonPipeline(SimulatedLLM(), cfg).clean(
-        to_spark_strings(spark, toy_pdf), "toy_min")
-    steps = {s.step for s in rep.steps}
-    assert "functional_dependency" not in steps
-    assert "duplication" not in steps
-    out = rep.cleaned.toPandas().set_index("row_id")
-    assert out.at["4", "county"] == "Kings"  # FD repair disabled
+def test_numeric_step_skips_column_the_type_step_merged(spark):
+    """The numeric step sees the distinct count taken before the type
+    step, so a column whose renderings the type step folds together (as
+    Movies ``duration``) gets no range review."""
+    class RangeLog(SimulatedLLM):
+        def __init__(self):
+            super().__init__()
+            self.reviewed: list[str] = []
+
+        def review_numeric_range(self, column, lo, hi):
+            self.reviewed.append(column)
+            return super().review_numeric_range(column, lo, hi)
+
+    minutes = [90, 100, 110, 130]
+    pdf = pd.DataFrame({
+        "row_id": [str(i) for i in range(40)],
+        # "1 hour 40 min" and "100 min" both become "100.0"
+        "duration": [f"{m // 60} hour {m % 60} min" if i // 4 % 2
+                     else f"{m} min" for i, m in enumerate(minutes * 10)],
+        # one rendering per value: the type step rewrites, merges nothing
+        "runtime": [f"{m} min" for m in minutes * 10],
+    }).astype(object)
+    llm = RangeLog()
+    rep = CocoonPipeline(llm).clean(to_spark_strings(spark, pdf), "durations")
+    typed = {s.column for s in rep.steps
+             if s.step == "column_type" and s.detected}
+    assert typed == {"duration", "runtime"}
+    assert llm.reviewed == ["runtime"]
 
 
 def test_misplacement_swap(spark):

@@ -1,15 +1,43 @@
 """Profiling substrate vs. pandas ground truth (Spark aggregations)."""
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.benchdata.base import to_spark_strings
 from repro.profiling import (
+    ColumnProfile,
     duplicate_rows,
-    numeric_min_max,
-    profile_column,
     profile_table,
-    unique_ratio,
+    unique_ratios,
 )
+
+
+def _profile_column(df: DataFrame, column: str, *,
+                    top_k: int) -> ColumnProfile:
+    """Reference profile of one column: a plain count aggregation and a
+    grouped top-K, independent of ``profile_table``'s unpivot/window."""
+    c = F.col(column)
+    counts = df.agg(
+        F.count(F.lit(1)).alias("total"),
+        F.count(c).alias("non_null"),
+        F.count_distinct(c).alias("n_distinct"),
+    ).collect()[0]
+    top = (
+        df.where(c.isNotNull())
+        .groupBy(c.alias("v"))
+        .agg(F.count(F.lit(1)).alias("cnt"))
+        .orderBy(F.desc("cnt"), F.asc("v"))
+        .limit(top_k)
+        .collect()
+    )
+    return ColumnProfile(
+        name=column,
+        total=counts["total"],
+        nulls=counts["total"] - counts["non_null"],
+        n_distinct=counts["n_distinct"],
+        top_values=tuple((r["v"], r["cnt"]) for r in top),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -26,25 +54,24 @@ def toy(spark):
 
 def test_profile_column_counts(toy):
     _pdf, df = toy
-    p = profile_column(df, "city")
+    p = profile_table(df, ["city"])["city"]
     assert p.total == 10 and p.nulls == 1 and p.n_distinct == 3
     assert p.top_values[0] == ("Birmingham", 5)
     assert p.top_values[1] == ("Boston", 3)
     assert p.non_null == 9
-    assert p.null_ratio == pytest.approx(0.1)
     assert p.unique_ratio == pytest.approx(3 / 9)
 
 
 def test_profile_column_top_k(toy):
     _pdf, df = toy
-    p = profile_column(df, "mixed", top_k=2)
+    p = profile_table(df, ["mixed"], top_k=2)["mixed"]
     assert len(p.top_values) == 2
     assert p.top_values[0] == ("9", 3)
 
 
 def test_profile_column_deterministic_tiebreak(toy):
     _pdf, df = toy
-    p = profile_column(df, "mixed")
+    p = profile_table(df, ["mixed"])["mixed"]
     singles = [v for v, c in p.top_values if c == 1]
     assert singles == sorted(singles)  # value-ordered among equal counts
 
@@ -53,15 +80,8 @@ def test_profile_table_matches_per_column(toy):
     _pdf, df = toy
     profs = profile_table(df, ["city", "score", "mixed"], top_k=100)
     for col in ("city", "score", "mixed"):
-        single = profile_column(df, col, top_k=100)
+        single = _profile_column(df, col, top_k=100)
         assert profs[col] == single, col
-
-
-def test_numeric_min_max(toy):
-    _pdf, df = toy
-    assert numeric_min_max(df, "score") == (85.0, 150.0)
-    assert numeric_min_max(df, "mixed") == (1.0, 9.0)  # "x" ignored
-    assert numeric_min_max(df, "city") is None
 
 
 def test_duplicate_rows(spark):
@@ -80,5 +100,7 @@ def test_duplicate_rows(spark):
 
 def test_unique_ratio(toy):
     _pdf, df = toy
-    assert unique_ratio(df, "city") == pytest.approx(3 / 9)
-    assert unique_ratio(df, "row_id") == 1.0
+    empty = df.withColumn("empty", F.lit(None).cast("string"))
+    ratios = unique_ratios(empty, ["city", "row_id", "empty"])
+    assert ratios == {"city": pytest.approx(3 / 9), "row_id": 1.0,
+                      "empty": 1.0}
