@@ -179,8 +179,7 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame, *,
     for i, cand in enumerate(cands):
         if cand.rhs in repaired_rhs or len(repaired_rhs) >= 12:
             continue
-        groups = violating_groups(dirty, cand.lhs, cand.rhs,
-                                  exclude_lhs_values=placeholders)
+        groups = violating_groups(cand)
         mapping = {}
         for key, vcs in groups.items():
             vcs = sorted(vcs, key=lambda vc: (-vc[1], vc[0]))

@@ -61,7 +61,7 @@ def clean_fds(
         result.responses.append(review)
         if not review.meaningful:
             continue
-        groups = violating_groups(df, cand.lhs, cand.rhs)
+        groups = violating_groups(cand)
         if not groups:
             continue
         repair = llm.repair_fd(cand.lhs, cand.rhs, groups)

@@ -66,6 +66,39 @@ def _concept_key(value: str) -> tuple[str, object] | None:
     return None
 
 
+class _StringIndex:
+    """One string-review prompt's value list, indexed once for every value.
+
+    Holds each concept group's size and most common form, the typo
+    candidates bucketed by the length of their lower-cased form (most
+    frequent first, with lower-cased and digit-stripped forms), and the
+    fixes computed so far, keyed by ``(value, frequency)`` — so the
+    cleaning prompt over the same list reuses the review's decisions.
+    """
+
+    def __init__(self, values: tuple[tuple[str, int], ...]) -> None:
+        self.values = values
+        self.fixes: dict[tuple[str, int], str | None] = {}
+        groups: dict[tuple[str, object], list[tuple[str, int]]] = {}
+        self.by_len: dict[int, list[tuple[int, str, str, str]]] = {}
+        for v, c in values:
+            if v is None:
+                continue
+            ck = _concept_key(v)
+            if ck is not None:
+                groups.setdefault(ck, []).append((v, c))
+            low = v.lower()
+            self.by_len.setdefault(len(low), []).append(
+                (c, v, low, kb.strip_digits(v)))
+        #: concept key -> (group size, representative form)
+        self.concepts = {
+            ck: (len(g), max(g, key=lambda vc: (vc[1], vc[0]))[0])
+            for ck, g in groups.items()
+        }
+        for bucket in self.by_len.values():
+            bucket.sort(key=lambda e: -e[0])
+
+
 class SimulatedLLM:
     """Deterministic stand-in for the paper's Claude 3.5 calls.
 
@@ -88,26 +121,37 @@ class SimulatedLLM:
         self.fd_confidence = fd_confidence
         self.type_coverage = type_coverage
         self.calls = 0  # prompt counter, reported in cleaning summaries
+        self._string_index: _StringIndex | None = None
 
     # -- string outliers (§2.1.1, Figs. 2-3) --------------------------------
 
-    def _string_fix(self, value: str, values: ValueCounts,
+    def _index(self, values: ValueCounts) -> _StringIndex:
+        """The index of ``values``, rebuilt only when the list changes."""
+        key = tuple(values)
+        if self._string_index is None or self._string_index.values != key:
+            self._string_index = _StringIndex(key)
+        return self._string_index
+
+    def _string_fix(self, value: str, index: _StringIndex,
                     freq: int) -> str | None:
         """The corrected form of ``value``, or ``None`` if it looks fine."""
+        if (value, freq) not in index.fixes:
+            index.fixes[value, freq] = self._compute_fix(value, index, freq)
+        return index.fixes[value, freq]
+
+    def _compute_fix(self, value: str, index: _StringIndex,
+                     freq: int) -> str | None:
         if value is None or kb.is_dmv_token(value) or kb.boolean_token(value) is not None:
             return None
         # inconsistent representation of a known concept -> most common form
         ck = _concept_key(value)
         if ck is not None:
-            group = [(v, c) for v, c in values if _concept_key(v) == ck]
-            if len(group) > 1:
-                rep = max(group, key=lambda vc: (vc[1], vc[0]))[0]
-                if rep != value:
-                    return rep
+            size, rep = index.concepts.get(ck, (0, None))
+            if size > 1 and rep != value:
+                return rep
             return None
         # frequency-based typo of a much more common same-column value
-        cands = [(v, c) for v, c in values if v is not None]
-        best = self._typo_target(value, cands, freq)
+        best = self._typo_target(value, index, freq)
         if best is not None:
             return best
         # open-vocabulary dictionary typo (titles, names, free text)
@@ -117,18 +161,24 @@ class SimulatedLLM:
                 return fixed
         return None
 
-    def _typo_target(self, value: str, cands: ValueCounts,
+    def _typo_target(self, value: str, index: _StringIndex,
                      freq: int) -> str | None:
         budget = kb.typo_budget(value)
+        low = value.lower()
+        stripped = kb.strip_digits(value)
+        floor = freq * self.min_freq_ratio
         scored: list[tuple[int, int, str]] = []
-        for cand, cfreq in cands:
-            if cand == value or cfreq < freq * self.min_freq_ratio:
-                continue
-            if kb.digit_only_diff(value, cand):
-                continue  # differing numbers are distinct values, not typos
-            d = kb.edit_distance(value.lower(), cand.lower(), cap=budget + 1)
-            if d <= budget:
-                scored.append((d, -cfreq, cand))
+        # a candidate whose length differs by more than the budget is
+        # more than the budget away
+        for n in range(len(low) - budget, len(low) + budget + 1):
+            for cfreq, cand, cand_low, cand_stripped in index.by_len.get(n, ()):
+                if cfreq < floor:
+                    break  # buckets are most frequent first
+                if cand == value or cand_stripped == stripped:
+                    continue  # differing numbers are distinct values, not typos
+                d = kb.edit_distance(low, cand_low, cap=budget + 1)
+                if d <= budget:
+                    scored.append((d, -cfreq, cand))
         if not scored:
             return None
         scored.sort()
@@ -144,8 +194,9 @@ class SimulatedLLM:
                                values: ValueCounts) -> StringOutlierReview:
         self.calls += 1
         prompt = prompts.string_outlier_detection(column, values)
+        index = self._index(values)
         unusual = [v for v, c in values
-                   if v is not None and self._string_fix(v, values, c) is not None]
+                   if v is not None and self._string_fix(v, index, c) is not None]
         if unusual:
             reasoning = (
                 f"{len(unusual)} values look like typos or inconsistent "
@@ -165,10 +216,11 @@ class SimulatedLLM:
                             frequent: ValueCounts) -> StringOutlierMapping:
         self.calls += 1
         prompt = prompts.string_outlier_cleaning(column, unusual, frequent)
+        index = self._index(frequent)
         freq_of = dict(frequent)
         mapping: dict[str, str] = {}
         for v in unusual:
-            fixed = self._string_fix(v, frequent, freq_of.get(v, 1))
+            fixed = self._string_fix(v, index, freq_of.get(v, 1))
             if fixed is not None and fixed != v:
                 mapping[v] = fixed
         reasoning = (

@@ -13,6 +13,7 @@ datasets contain real-world entities that a real LLM knows about.
 """
 from __future__ import annotations
 
+import functools
 import re
 
 # ---------------------------------------------------------------------------
@@ -147,28 +148,46 @@ _VOLUME_UNITS = ("oz", "ounce", "ounces", "oz.")
 
 
 def edit_distance(a: str, b: str, cap: int = 3) -> int:
-    """Levenshtein distance, early-exiting at ``cap`` (returns ``cap``)."""
+    """Levenshtein distance capped at ``cap``: returns ``min(d, cap)``.
+
+    Only a distance below ``cap`` matters, and a cell ``(i, j)`` of the
+    DP matrix is at least ``|i - j|``, so only the diagonal band of
+    half-width ``cap - 1`` is computed (Ukkonen, 1985); cells outside
+    it stand in as ``cap``. A row whose band minimum reaches ``cap``
+    ends the scan.
+    """
     if a == b:
         return 0
     if abs(len(a) - len(b)) >= cap:
         return cap
-    prev = list(range(len(b) + 1))
+    k = cap - 1
+    m = len(b)
+    prev = [j if j <= k else cap for j in range(m + 1)]
     for i, ca in enumerate(a, 1):
-        cur = [i]
-        best = i
-        for j, cb in enumerate(b, 1):
-            c = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-            cur.append(c)
-            best = min(best, c)
+        cur = [cap] * (m + 1)
+        if i <= k:
+            cur[0] = i
+        best = cur[0]
+        for j in range(max(1, i - k), min(m, i + k) + 1):
+            c = min(prev[j] + 1, cur[j - 1] + 1,
+                    prev[j - 1] + (ca != b[j - 1]))
+            cur[j] = c
+            if c < best:
+                best = c
         if best >= cap:
             return cap
         prev = cur
-    return min(prev[-1], cap)
+    return min(prev[m], cap)
 
 
 def typo_budget(value: str) -> int:
     """Maximum plausible edit distance for ``value`` to be a typo."""
     return 1 if len(value) <= 6 else 2
+
+
+def strip_digits(value: str) -> str:
+    """``value`` without its digit characters."""
+    return "".join(ch for ch in value if not ch.isdigit())
 
 
 def digit_only_diff(a: str, b: str) -> bool:
@@ -180,40 +199,7 @@ def digit_only_diff(a: str, b: str) -> bool:
     "Birmingham" or "100x4" vs "10004" differ in non-digit characters
     and remain typo evidence.
     """
-    strip_a = "".join(ch for ch in a if not ch.isdigit())
-    strip_b = "".join(ch for ch in b if not ch.isdigit())
-    return strip_a == strip_b and a != b
-
-
-def best_typo_candidate(
-    value: str,
-    candidates: list[tuple[str, int]],
-    *,
-    min_freq_ratio: float = 4.0,
-    own_freq: int = 1,
-) -> str | None:
-    """The most plausible intended value for a suspected typo.
-
-    A candidate qualifies when it is much more frequent than the suspect
-    (``min_freq_ratio``) and within the length-dependent edit budget.
-    Ties break toward smaller distance, then higher frequency — the
-    "nearest common value" reasoning a human (or LLM) applies. Returns
-    ``None`` when nothing qualifies or the best match is ambiguous.
-    """
-    budget = typo_budget(value)
-    scored: list[tuple[int, int, str]] = []
-    for cand, freq in candidates:
-        if cand == value or freq < own_freq * min_freq_ratio:
-            continue
-        d = edit_distance(value.lower(), cand.lower(), cap=budget + 1)
-        if d <= budget:
-            scored.append((d, -freq, cand))
-    if not scored:
-        return None
-    scored.sort()
-    if len(scored) > 1 and scored[0][0] == scored[1][0] and scored[0][1] == scored[1][1]:
-        return None  # two equally-plausible targets: abstain
-    return scored[0][2]
+    return a != b and strip_digits(a) == strip_digits(b)
 
 
 _WORD_RE = re.compile(r"[A-Za-z]+")
@@ -232,6 +218,22 @@ def _dict_candidates(word: str, max_dist: int) -> list[str]:
     return out
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _dictionary_fix(word: str, max_dist: int) -> str | None:
+    """The repair of lower-cased ``word``, or ``None`` to keep it.
+
+    Dictionary words (plural-aware: "hospitals"/"outcomes" are fine) and
+    words with no unique neighbour within ``max_dist`` edits are kept.
+    """
+    if word in DICTIONARY or word.removesuffix("s") in DICTIONARY:
+        return None
+    hits = [d for d in _dict_candidates(word, max_dist)
+            if edit_distance(word, d, cap=max_dist + 1) <= max_dist]
+    same_first = [h for h in hits if h[0] == word[0]]
+    pool = same_first or hits
+    return pool[0] if len(set(pool)) == 1 else None
+
+
 def fix_words(text: str, *, max_dist: int = 1) -> str | None:
     """Dictionary-based word-level typo repair.
 
@@ -246,22 +248,14 @@ def fix_words(text: str, *, max_dist: int = 1) -> str | None:
     def _fix(m: re.Match[str]) -> str:
         nonlocal changed
         w = m.group(0)
-        lw = w.lower()
-        # plural-aware membership: "hospitals"/"outcomes" are fine words
-        if lw in DICTIONARY or lw.removesuffix("s") in DICTIONARY or len(lw) < 5:
+        if len(w) < 5:
             return w
         if m.end() < len(text) and text[m.end()] == ".":
             return w  # abbreviation ("Card." in "Am. J. Card. Surg.")
-        hits = [d for d in _dict_candidates(lw, max_dist)
-                if edit_distance(lw, d, cap=max_dist + 1) <= max_dist]
-        if not hits:
-            return w
-        same_first = [h for h in hits if h[0] == lw[0]]
-        pool = same_first or hits
-        if len(set(pool)) != 1:
+        fixed = _dictionary_fix(w.lower(), max_dist)
+        if fixed is None:
             return w
         changed = True
-        fixed = pool[0]
         if w.isupper():
             return fixed.upper()
         if w[0].isupper():

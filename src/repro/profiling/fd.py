@@ -6,18 +6,27 @@ entropy ``H(B|A) = H(A,B) - H(A)`` (the entropy measurement of Beskales
 et al. the paper cites): ``0`` means the FD holds exactly; small values
 mean a few violating groups.
 
-All pairwise joint distributions are computed in **one** Spark
-aggregation using ``GROUPING SETS`` — one shuffle for the whole
-candidate-pair lattice instead of one job per pair — and the (small)
-per-pair count vectors are reduced to entropies on the driver.
+All pairwise joint distributions come from **one** Spark aggregation:
+``stack`` unpivots every row into one ``(pair, a, b)`` row per
+unordered column pair (NULLs dropped), and a single ``groupBy`` counts
+them — one shuffle for the whole pair lattice, with generated code
+linear in the number of pairs. ``H(A,B)`` is symmetric, so each pair's
+joint counts serve both directions. The counts are collected through
+Arrow and reduced on the driver with exactly rounded sums
+(:func:`math.fsum`), so the result does not depend on Spark's row
+order: mathematically tied candidates get bit-equal ratios and are
+ordered by ``(lhs, rhs)``. Each candidate carries its violating groups,
+which :func:`violating_groups` formats for the repair prompt without
+another Spark job.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+
+Groups = dict[str, list[tuple[str, int]]]
 
 
 @dataclass(frozen=True)
@@ -32,13 +41,56 @@ class FDCandidate:
     #: fraction of non-null rows whose RHS differs from their group's mode
     violation_rate: float
     n_violating_groups: int
+    #: LHS value -> its (RHS value, count) pairs, for every LHS group
+    #: with more than one RHS value
+    groups: Groups = field(default_factory=dict, repr=False, compare=False)
 
 
 def _entropy(counts: list[int]) -> float:
     n = sum(counts)
     if n == 0:
         return 0.0
-    return -sum((c / n) * math.log2(c / n) for c in counts if c)
+    return -math.fsum((c / n) * math.log2(c / n) for c in counts if c)
+
+
+def _quote(column: str) -> str:
+    return "`" + column.replace("`", "``") + "`"
+
+
+def _candidate(
+    lhs: str, rhs: str, joint: list[tuple[str, str, int]], *,
+    max_entropy_ratio: float, max_violation_rate: float,
+    exclude_lhs_values: frozenset[str] | None,
+) -> FDCandidate | None:
+    """``lhs -> rhs`` from its joint counts ``(lhs value, rhs value, n)``."""
+    if exclude_lhs_values:
+        # placeholder LHS values create fake groups
+        joint = [j for j in joint if j[0] not in exclude_lhs_values]
+    if not joint:
+        return None
+    marg_a: dict[str, int] = {}
+    marg_b: dict[str, int] = {}
+    groups: Groups = {}
+    for va, vb, c in joint:
+        marg_a[va] = marg_a.get(va, 0) + c
+        marg_b[vb] = marg_b.get(vb, 0) + c
+        groups.setdefault(va, []).append((vb, c))
+    n = sum(marg_a.values())
+    h_a = _entropy(list(marg_a.values()))
+    h_b = _entropy(list(marg_b.values()))
+    h_ab = _entropy([c for _, _, c in joint])
+    cond = max(0.0, h_ab - h_a)
+    # normalize by H(B): an FD over a high-cardinality RHS tolerates
+    # more absolute conditional entropy from its dirty violations
+    ratio = cond / h_b if h_b > 0 else 0.0
+    violating = {k: v for k, v in groups.items() if len(v) > 1}
+    viol_rows = sum(sum(c for _, c in v) - max(c for _, c in v)
+                    for v in violating.values())
+    rate = viol_rows / n if n else 0.0
+    if violating and ratio <= max_entropy_ratio and rate <= max_violation_rate:
+        return FDCandidate(lhs, rhs, cond, ratio, rate, len(violating),
+                           violating)
+    return None
 
 
 def discover_fds(
@@ -57,106 +109,58 @@ def discover_fds(
     ``n_distinct`` (from the column profiles) prunes the pair lattice:
     a useful LHS groups rows (not near-unique) and a useful RHS is
     low-cardinality enough to have a mode. Candidates are returned
-    strongest (lowest conditional entropy) first; exact FDs with no
+    strongest (lowest entropy ratio) first; exact FDs with no
     violating group are dropped — there is nothing to clean.
     """
     cand = [
         c for c in columns
         if 2 <= n_distinct.get(c, total) <= min(max_distinct, int(total * 0.9))
     ]
-    pairs = [(a, b) for a in cand for b in cand if a != b]
+    pairs = [(a, b) for i, a in enumerate(cand) for b in cand[i + 1:]]
     if not pairs:
         return []
 
-    sets_sql = ", ".join(f"(`{a}`, `{b}`)" for a, b in pairs)
-    cols_sql = ", ".join(f"`{c}`" for c in cand)
-    view = "_repro_fd_input"
-    df.select(*cand).createOrReplaceTempView(view)
-    rows = df.sparkSession.sql(
-        f"SELECT {cols_sql}, grouping_id() AS _gid, count(*) AS _cnt "
-        f"FROM {view} GROUP BY GROUPING SETS ({sets_sql})"
-    ).collect()
-
-    # grouping_id bit i (MSB-first over `cand`) is 0 when column i was
-    # part of the grouping set — recover which pair each row belongs to.
-    idx = {c: i for i, c in enumerate(cand)}
-    gid_of = {
-        (a, b): sum(
-            1 << (len(cand) - 1 - i)
-            for i in range(len(cand))
-            if i not in (idx[a], idx[b])
-        )
-        for a, b in pairs
-    }
-    by_gid: dict[int, list] = {}
-    for r in rows:
-        by_gid.setdefault(r["_gid"], []).append(r)
+    stack = ", ".join(
+        f"{k}, CAST({_quote(a)} AS STRING), CAST({_quote(b)} AS STRING)"
+        for k, (a, b) in enumerate(pairs))
+    counts = (
+        df.selectExpr(f"stack({len(pairs)}, {stack}) AS (pair, a, b)")
+        .where("a IS NOT NULL AND b IS NOT NULL")
+        .groupBy("pair", "a", "b").count()
+        .toPandas()
+    )
+    joints: list[list[tuple[str, str, int]]] = [[] for _ in pairs]
+    for k, va, vb, c in zip(counts["pair"].tolist(), counts["a"].tolist(),
+                            counts["b"].tolist(), counts["count"].tolist()):
+        joints[k].append((va, vb, c))
 
     out: list[FDCandidate] = []
-    for a, b in pairs:
-        joint: dict[tuple[str, str], int] = {}
-        for r in by_gid.get(gid_of[(a, b)], []):
-            va, vb = r[a], r[b]
-            if va is None or vb is None:
-                continue
-            if exclude_lhs_values and va in exclude_lhs_values:
-                continue  # placeholder LHS values create fake groups
-            joint[(va, vb)] = joint.get((va, vb), 0) + r["_cnt"]
-        if not joint:
-            continue
-        marg_a: dict[str, int] = {}
-        marg_b: dict[str, int] = {}
-        groups: dict[str, list[int]] = {}
-        for (va, vb), c in joint.items():
-            marg_a[va] = marg_a.get(va, 0) + c
-            marg_b[vb] = marg_b.get(vb, 0) + c
-            groups.setdefault(va, []).append(c)
-        n = sum(marg_a.values())
-        h_a = _entropy(list(marg_a.values()))
-        h_b = _entropy(list(marg_b.values()))
-        h_ab = _entropy(list(joint.values()))
-        cond = max(0.0, h_ab - h_a)
-        # normalize by H(B): an FD over a high-cardinality RHS tolerates
-        # more absolute conditional entropy from its dirty violations
-        ratio = cond / h_b if h_b > 0 else 0.0
-        violating = {k: v for k, v in groups.items() if len(v) > 1}
-        viol_rows = sum(sum(v) - max(v) for v in violating.values())
-        rate = viol_rows / n if n else 0.0
-        if (
-            violating
-            and ratio <= max_entropy_ratio
-            and rate <= max_violation_rate
-        ):
-            out.append(FDCandidate(a, b, cond, ratio, rate, len(violating)))
+    for (a, b), joint in zip(pairs, joints):
+        for lhs, rhs, rows in ((a, b, joint),
+                               (b, a, [(vb, va, c) for va, vb, c in joint])):
+            fd = _candidate(lhs, rhs, rows,
+                            max_entropy_ratio=max_entropy_ratio,
+                            max_violation_rate=max_violation_rate,
+                            exclude_lhs_values=exclude_lhs_values)
+            if fd is not None:
+                out.append(fd)
     out.sort(key=lambda f: (f.entropy_ratio, f.lhs, f.rhs))
     return out
 
 
-def violating_groups(
-    df: DataFrame, lhs: str, rhs: str, *, max_groups: int = 500,
-    exclude_lhs_values: frozenset[str] | None = None,
-) -> dict[str, list[tuple[str, int]]]:
-    """RHS value distribution of every LHS group violating ``lhs -> rhs``.
+def violating_groups(cand: FDCandidate, *,
+                     max_groups: int = 500) -> Groups:
+    """RHS value distribution of every LHS group violating ``cand``.
 
-    Returns ``{lhs_value: [(rhs_value, count), ...]}`` with counts
-    descending, deterministic tie-break on value — the exact structure
-    the §2.1.6 repair prompt shows the LLM.
+    Returns ``{lhs_value: [(rhs_value, count), ...]}`` ordered by LHS
+    value, counts descending with a deterministic tie-break on value,
+    and at most ``max_groups`` groups — the exact structure the §2.1.6
+    repair prompt shows the LLM. The groups are the ones
+    :func:`discover_fds` found, so LHS values it excluded stay out.
     """
-    rows = (
-        df.where(F.col(lhs).isNotNull() & F.col(rhs).isNotNull())
-        .groupBy(lhs, rhs)
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .collect()
-    )
-    groups: dict[str, list[tuple[str, int]]] = {}
-    for r in rows:
-        if exclude_lhs_values and r[lhs] in exclude_lhs_values:
-            continue
-        groups.setdefault(r[lhs], []).append((r[rhs], r["cnt"]))
     out = {
         k: sorted(v, key=lambda vc: (-vc[1], vc[0]))
-        for k, v in sorted(groups.items())
-        if len(v) > 1
+        for k, v in sorted(cand.groups.items())
     }
     if len(out) > max_groups:
         out = dict(list(out.items())[:max_groups])

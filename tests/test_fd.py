@@ -1,6 +1,8 @@
 """Entropy-based FD discovery (§2.1.6 substrate)."""
+import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.benchdata.base import to_spark_strings
 from repro.profiling.fd import _entropy, discover_fds, violating_groups
@@ -82,16 +84,112 @@ def test_discover_fd_exclude_lhs_values(fd_frame):
     assert cands == []  # the only violating group was excluded
 
 
+def _zip_city(df, **kw):
+    cands = discover_fds(df, ["zip", "city"], n_distinct={"zip": 3, "city": 5},
+                         total=60, **kw)
+    return next(c for c in cands if (c.lhs, c.rhs) == ("zip", "city"))
+
+
 def test_violating_groups(fd_frame):
     _pdf, df = fd_frame
-    groups = violating_groups(df, "zip", "city")
+    groups = violating_groups(_zip_city(df))
     assert set(groups) == {"35233"}
     assert groups["35233"][0] == ("Birmingham", 18)
     assert set(groups["35233"][1:]) == {("Tucson", 1), ("Boston", 1)}
 
 
 def test_violating_groups_exclusion(fd_frame):
+    # LHS values excluded at discovery never reach the repair prompt
+    # (excluding the violating group drops the candidate: see above)
     _pdf, df = fd_frame
-    assert violating_groups(
-        df, "zip", "city",
-        exclude_lhs_values=frozenset({"35233"})) == {}
+    cand = _zip_city(df, exclude_lhs_values=frozenset({"10001"}))
+    assert set(violating_groups(cand)) == {"35233"}
+
+
+def _reference_groups(df, lhs, rhs, *, exclude=frozenset(), max_groups=500):
+    """Violating groups straight from a ``groupBy(lhs, rhs)`` on ``df``."""
+    rows = (df.where(F.col(lhs).isNotNull() & F.col(rhs).isNotNull())
+            .groupBy(lhs, rhs).count().collect())
+    groups: dict[str, list[tuple[str, int]]] = {}
+    for r in rows:
+        if r[lhs] not in exclude:
+            groups.setdefault(r[lhs], []).append((r[rhs], r["count"]))
+    out = {k: sorted(v, key=lambda vc: (-vc[1], vc[0]))
+           for k, v in sorted(groups.items()) if len(v) > 1}
+    return dict(list(out.items())[:max_groups])
+
+
+@pytest.fixture(scope="module")
+def many_groups(spark):
+    """zip -> city with violations in several groups, NULLs on both
+    sides, and an "N/A" zip that lumps unrelated rows together."""
+    cities = ["Birmingham", "Boston", "Chicago", "Denver", "Tucson",
+              "Dover", "Reno"]
+    rows = []
+    for k, city in enumerate(cities):
+        for i in range(20):
+            rows.append((f"{35200 + k}", city))
+    # group k (k = 1..4) has k rows with another group's city
+    for k in range(1, 5):
+        for i in range(k):
+            rows[20 * k + i] = (rows[20 * k][0], cities[(k + i + 1) % 7])
+    rows += [("N/A", c) for c in cities[:4]] * 2
+    rows += [(None, "Boston"), ("35200", None), (None, None)]
+    pdf = pd.DataFrame(
+        [{"row_id": str(i), "zip": z, "city": c}
+         for i, (z, c) in enumerate(rows)]).astype(object)
+    return to_spark_strings(spark, pdf)
+
+
+@pytest.mark.parametrize("exclude,max_groups", [
+    (frozenset(), 500),
+    (frozenset({"N/A"}), 500),
+    (frozenset({"N/A", "35202"}), 500),
+    (frozenset(), 2),
+])
+def test_violating_groups_match_groupby_reference(many_groups, exclude,
+                                                  max_groups):
+    df = many_groups
+    cands = discover_fds(df, ["zip", "city"],
+                         n_distinct={"zip": 8, "city": 7}, total=151,
+                         exclude_lhs_values=exclude or None)
+    cand = next(c for c in cands if (c.lhs, c.rhs) == ("zip", "city"))
+    want = _reference_groups(df, "zip", "city", exclude=exclude,
+                             max_groups=max_groups)
+    assert violating_groups(cand, max_groups=max_groups) == want
+    assert cand.n_violating_groups == len(
+        _reference_groups(df, "zip", "city", exclude=exclude))
+
+
+def test_one_to_one_lhs_columns_tie_exactly(spark):
+    # "key" and "code" name the same entities, so key -> name and
+    # code -> name are the same FD: their ratios must be bit-equal and
+    # (lhs, rhs) orders them, whatever order Spark returns rows in
+    rng = np.random.default_rng(3)
+    rows = []
+    for k in range(40):
+        size = int(rng.integers(3, 30))
+        for i in range(size):
+            name = f"name{k}" if i or k % 3 else f"name{k + 1}"
+            rows.append({"key": f"k{k:02d}", "code": f"{97 - k}",
+                         "name": name})
+    pdf = pd.DataFrame(rows)
+    pdf.insert(0, "row_id", [str(i) for i in range(len(pdf))])
+    df = to_spark_strings(spark, pdf).repartition(7)
+    cands = discover_fds(df, ["key", "code", "name"],
+                         n_distinct={"key": 40, "code": 40, "name": 40},
+                         total=len(pdf))
+    to_name = [c for c in cands if c.rhs == "name"]
+    assert [(c.lhs, c.rhs) for c in to_name] == [("code", "name"),
+                                                 ("key", "name")]
+    assert to_name[0].entropy_ratio == to_name[1].entropy_ratio
+    assert (to_name[0].conditional_entropy
+            == to_name[1].conditional_entropy)
+
+
+def test_discover_fds_leaves_catalog_unchanged(spark, fd_frame):
+    _pdf, df = fd_frame
+    before = sorted(t.name for t in spark.catalog.listTables())
+    discover_fds(df, ["zip", "city", "noise"],
+                 n_distinct={"zip": 3, "city": 5, "noise": 7}, total=60)
+    assert sorted(t.name for t in spark.catalog.listTables()) == before

@@ -1,6 +1,7 @@
 """Unit tests for the semantic knowledge base."""
 import pytest
 
+from repro.llm import SimulatedLLM
 from repro.llm import knowledge as kb
 
 
@@ -54,26 +55,46 @@ def test_digit_only_diff(a, b, expected):
 
 
 # ---------------------------------------------------------------------------
-# typo candidates
+# typo candidates, through the simulator's string review (§2.1.1)
 # ---------------------------------------------------------------------------
 
+def _typo_fix(values: list[tuple[str, int]]) -> tuple[tuple[str, ...], dict]:
+    """The values the string review flags and the mapping the cleaning
+    prompt then returns for them."""
+    llm = SimulatedLLM()
+    review = llm.review_string_outliers("col", values)
+    fix = llm.map_string_outliers("col", list(review.unusual_values), values)
+    return review.unusual_values, fix.mapping
+
+
 def test_best_typo_candidate_prefers_frequent_close_value():
-    cands = [("Birmingham", 18), ("Boston", 12), ("Birminghxm", 1)]
-    assert kb.best_typo_candidate("Birminghxm", cands) == "Birmingham"
+    # the nearest frequent value wins, even over a more frequent one a
+    # further edit away
+    values = [("Birmingxxx", 50), ("Birmingham", 18), ("Boston", 12),
+              ("Birminghxm", 1)]
+    assert _typo_fix(values) == (("Birminghxm",),
+                                 {"Birminghxm": "Birmingham"})
 
 
 def test_best_typo_candidate_respects_freq_ratio():
-    # candidate not frequent enough relative to the suspect
-    assert kb.best_typo_candidate("abcd", [("abce", 3)], own_freq=1) is None
+    # a candidate must be at least 4x as frequent as the suspect
+    assert _typo_fix([("abce", 3), ("abcd", 1)]) == ((), {})
+    assert _typo_fix([("abce", 4), ("abcd", 1)]) == (("abcd",),
+                                                     {"abcd": "abce"})
 
 
 def test_best_typo_candidate_ambiguous_ties_abstain():
-    cands = [("word", 20), ("wore", 20)]
-    assert kb.best_typo_candidate("worx", cands) is None
+    values = [("word", 20), ("wore", 20), ("worx", 1)]
+    assert _typo_fix(values) == ((), {})
+    mapping = SimulatedLLM().map_string_outliers("col", ["worx"], values)
+    assert mapping.mapping == {}
 
 
 def test_best_typo_candidate_no_match():
-    assert kb.best_typo_candidate("zzz", [("completely", 100)]) is None
+    values = [("completely", 100), ("zzz", 1)]
+    assert _typo_fix(values) == ((), {})
+    mapping = SimulatedLLM().map_string_outliers("col", ["zzz"], values)
+    assert mapping.mapping == {}
 
 
 # ---------------------------------------------------------------------------

@@ -95,3 +95,26 @@ def test_duration_grammar_roundtrip(m, h):
         return
     rendered = (f"{h} hour {m} min" if h else f"{m} min")
     assert kb.parse_duration_minutes(rendered) == float(total)
+
+
+def _levenshtein(a: str, b: str) -> int:
+    """Full-matrix Levenshtein distance: the reference for the banded DP."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+# "İ".lower() is two characters long, so the lower-cased forms the
+# string review compares can differ in length from the values
+typo_text = st.text(alphabet="abcxİı .1", max_size=12)
+
+
+@given(typo_text, typo_text, st.integers(1, 4))
+def test_edit_distance_matches_full_matrix(a, b, cap):
+    for x, y in ((a, b), (a.lower(), b.lower())):
+        assert kb.edit_distance(x, y, cap=cap) == min(_levenshtein(x, y), cap)
