@@ -172,7 +172,7 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame, *,
     total = profiles[cols[0]].total
     cands = discover_fds(
         dirty, cols, n_distinct=n_distinct, total=total,
-        max_entropy_ratio=0.35, max_violation_rate=0.5,
+        max_violation_rate=0.5,
         exclude_lhs_values=placeholders,
     )
     repaired_rhs: set[str] = set()

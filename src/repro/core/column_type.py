@@ -15,6 +15,9 @@ from __future__ import annotations
 from repro.core.outcome import ColumnOutcome
 from repro.llm.client import LLMClient, ValueCounts
 
+#: the catalog type of every benchmark column (tables load as text)
+CURRENT_TYPE = "VARCHAR"
+
 
 def clean_column_type(
     column: str,
@@ -22,11 +25,10 @@ def clean_column_type(
     llm: LLMClient,
     *,
     n_distinct: int,
-    current_type: str = "VARCHAR",
 ) -> ColumnOutcome:
     if n_distinct > len(counts):
-        return ColumnOutcome(False, f"type {current_type}, no rewrite needed")
-    s = llm.suggest_type(column, current_type, list(counts))
+        return ColumnOutcome(False, f"type {CURRENT_TYPE}, no rewrite needed")
+    s = llm.suggest_type(column, CURRENT_TYPE, list(counts))
     if not s.mapping:
         return ColumnOutcome(False, f"type {s.target_type}, no rewrite needed")
     return ColumnOutcome(

@@ -9,28 +9,12 @@ first-``row_id`` copy so surrogate ids stay stable).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from pyspark.sql import DataFrame
 
+from repro.core.outcome import ROW_ID, StepReport, TableOutcome
+from repro.core.sql_emit import Layer
 from repro.llm.client import LLMClient
-from repro.llm.types import DuplicationReview
 from repro.profiling.duplicates import duplicate_rows
-
-
-@dataclass
-class DuplicationResult:
-    surplus: int
-    review: DuplicationReview | None
-    content_cols: list[str]
-
-    @property
-    def detected(self) -> bool:
-        return self.surplus > 0
-
-    @property
-    def should_dedupe(self) -> bool:
-        return self.review is not None and not self.review.acceptable
 
 
 def clean_duplication(
@@ -38,11 +22,18 @@ def clean_duplication(
     table: str,
     content_cols: list[str],
     llm: LLMClient,
-) -> DuplicationResult:
+) -> TableOutcome:
     surplus, samples = duplicate_rows(df, subset=content_cols)
     if surplus == 0:
-        return DuplicationResult(surplus=0, review=None,
-                                 content_cols=content_cols)
+        return TableOutcome((), (StepReport(
+            "duplication", None, False, "no duplicate rows"),))
     review = llm.review_duplication(table, surplus, samples)
-    return DuplicationResult(surplus=surplus, review=review,
-                             content_cols=content_cols)
+    found = f"{surplus} surplus duplicate rows"
+    if review.acceptable:
+        return TableOutcome((), (StepReport(
+            "duplication", None, True, f"{found}; acceptable"),))
+    layer = Layer("clean_duplication", kind="window_dedupe",
+                  comments=[review.reasoning], key_cols=content_cols,
+                  order_col=ROW_ID)
+    return TableOutcome((layer,), (StepReport(
+        "duplication", None, True, f"{found}; removed"),))

@@ -9,32 +9,15 @@ paper's Flights discussion). Cleaning is a per-FD ``CASE WHEN`` layer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from pyspark.sql import DataFrame
 
+from repro.core.outcome import StepReport, TableOutcome
+from repro.core.sql_emit import Layer, fd_repair_case
 from repro.llm.client import LLMClient
-from repro.llm.types import LLMResponse
 from repro.profiling.fd import discover_fds, violating_groups
 
-
-@dataclass
-class FDRepairPlan:
-    lhs: str
-    rhs: str
-    conditional_entropy: float
-    mapping: dict[str, str]
-    abstained: tuple[str, ...]
-
-
-@dataclass
-class FDStepResult:
-    repairs: list[FDRepairPlan] = field(default_factory=list)
-    responses: list[LLMResponse] = field(default_factory=list)
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.repairs)
+#: FD repair layers emitted at most
+MAX_FDS = 10
 
 
 def clean_fds(
@@ -44,37 +27,43 @@ def clean_fds(
     *,
     n_distinct: dict[str, int],
     total: int,
-    max_fds: int = 10,
-) -> FDStepResult:
-    """Review FD candidates strongest-first and plan group repairs.
+) -> TableOutcome:
+    """Review FD candidates strongest-first and repair violating groups.
 
     Each RHS column is repaired by at most one FD (the statistically
     strongest) so layers never fight over a column.
     """
-    result = FDStepResult()
+    layers: list[Layer] = []
+    steps: list[StepReport] = []
     repaired_rhs: set[str] = set()
     cands = discover_fds(df, columns, n_distinct=n_distinct, total=total)
     for cand in cands:
-        if len(result.repairs) >= max_fds or cand.rhs in repaired_rhs:
+        lhs, rhs = cand.lhs, cand.rhs
+        if len(layers) >= MAX_FDS or rhs in repaired_rhs:
             continue
-        review = llm.review_fd(cand.lhs, cand.rhs, cand.conditional_entropy)
-        result.responses.append(review)
-        if not review.meaningful:
+        if not llm.review_fd(lhs, rhs, cand.conditional_entropy).meaningful:
             continue
         groups = violating_groups(cand)
         if not groups:
             continue
-        repair = llm.repair_fd(cand.lhs, cand.rhs, groups)
-        result.responses.append(repair)
-        if repair.mapping:
-            repaired_rhs.add(cand.rhs)
-            result.repairs.append(
-                FDRepairPlan(
-                    lhs=cand.lhs,
-                    rhs=cand.rhs,
-                    conditional_entropy=cand.conditional_entropy,
-                    mapping=dict(repair.mapping),
-                    abstained=repair.abstained,
-                )
-            )
-    return result
+        repair = llm.repair_fd(lhs, rhs, groups)
+        if not repair.mapping:
+            continue
+        repaired_rhs.add(rhs)
+        n_fixed, n_abstained = len(repair.mapping), len(repair.abstained)
+        layers.append(Layer(
+            f"clean_fd_{len(layers)}",
+            exprs={rhs: fd_repair_case(lhs, rhs, repair.mapping)},
+            comments=[f"FD {lhs} -> {rhs} "
+                      f"(H={cand.conditional_entropy:.3f}): repaired "
+                      f"{n_fixed} groups, abstained on {n_abstained} "
+                      "ambiguous groups"]))
+        steps.append(StepReport(
+            "functional_dependency", rhs, True,
+            f"{lhs} -> {rhs}: repaired {n_fixed} groups, abstained "
+            f"{n_abstained}"))
+    if not steps:
+        steps.append(StepReport(
+            "functional_dependency", None, False,
+            "no meaningful FD with repairable violations"))
+    return TableOutcome(tuple(layers), tuple(steps))

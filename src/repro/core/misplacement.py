@@ -11,38 +11,23 @@ paired ``CASE WHEN`` expressions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.outcome import StepReport, TableOutcome
+from repro.core.sql_emit import Layer, swap_case
 from repro.llm import knowledge as kb
 from repro.llm.client import LLMClient, ValueCounts
-from repro.llm.types import LLMResponse
+
+#: rows that must hold each other's values before the LLM is asked
+MIN_EVIDENCE_ROWS = 3
+#: a column has a dominant domain when at least this share of its rows
+#: is classifiable and at least MIN_PURITY of those share one domain
+MIN_CLASSIFIED = 0.5
+MIN_PURITY = 0.8
 
 
-@dataclass
-class SwapPlan:
-    col_a: str
-    col_b: str
-    #: values observed in col_a that belong to col_b's domain (and v.v.)
-    a_offending: list[str]
-    b_offending: list[str]
-    n_evidence: int
-
-
-@dataclass
-class MisplacementResult:
-    swaps: list[SwapPlan] = field(default_factory=list)
-    responses: list[LLMResponse] = field(default_factory=list)
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.swaps)
-
-
-def _dominant_domain(counts: ValueCounts, *, min_classified: float = 0.5,
-                     min_purity: float = 0.8) -> str | None:
+def _dominant_domain(counts: ValueCounts) -> str | None:
     """The semantic domain a column's values predominantly belong to."""
     by_domain: dict[str, int] = {}
     total = 0
@@ -55,7 +40,7 @@ def _dominant_domain(counts: ValueCounts, *, min_classified: float = 0.5,
         return None
     classified = sum(by_domain.values())
     top, top_c = max(by_domain.items(), key=lambda kv: kv[1])
-    if classified / total >= min_classified and top_c / classified >= min_purity:
+    if classified / total >= MIN_CLASSIFIED and top_c / classified >= MIN_PURITY:
         return top
     return None
 
@@ -64,15 +49,22 @@ def clean_misplacement(
     df: DataFrame,
     counts_by_col: dict[str, ValueCounts],
     llm: LLMClient,
-    *,
-    min_evidence_rows: int = 3,
-) -> MisplacementResult:
-    result = MisplacementResult()
+) -> TableOutcome:
+    """One swap layer per confirmed pair of misplaced columns.
+
+    Every pair with enough evidence is reviewed, but a confirmed swap
+    that shares a column with an earlier one is not emitted: the first
+    swap already moved that column's values.
+    """
     domains = {
         c: d for c, counts in counts_by_col.items()
         if (d := _dominant_domain(counts)) is not None
     }
     cols = sorted(domains)
+    layers: list[Layer] = []
+    steps: list[StepReport] = []
+    swapped_cols: set[str] = set()
+    n_confirmed = 0
     for i, a in enumerate(cols):
         for b in cols[i + 1:]:
             da, db = domains[a], domains[b]
@@ -87,13 +79,25 @@ def clean_misplacement(
             hits = df.where(F.col(a).isin(a_off) & F.col(b).isin(b_off))
             sample = [(r[a], r[b]) for r in hits.limit(5).collect()]
             n = hits.count()
-            if n < min_evidence_rows:
+            if n < MIN_EVIDENCE_ROWS:
                 continue
-            review = llm.review_misplacement(a, b, n, sample)
-            result.responses.append(review)
-            if review.swapped:
-                result.swaps.append(
-                    SwapPlan(col_a=a, col_b=b, a_offending=a_off,
-                             b_offending=b_off, n_evidence=n)
-                )
-    return result
+            if not llm.review_misplacement(a, b, n, sample).swapped:
+                continue
+            # numbered among all confirmed swaps, skipped ones included
+            name = f"clean_misplacement_{n_confirmed}"
+            n_confirmed += 1
+            if {a, b} & swapped_cols:
+                continue
+            swapped_cols |= {a, b}
+            a_expr, b_expr = swap_case(a, b, a_off, b_off)
+            layers.append(Layer(
+                name, exprs={a: a_expr, b: b_expr},
+                comments=[f"{a} <-> {b}: {n} rows hold each other's "
+                          "values; swap them back"]))
+            steps.append(StepReport(
+                "misplacement", f"{a}/{b}", True,
+                f"swapped {n} misplaced value pairs"))
+    if not steps:
+        steps.append(StepReport(
+            "misplacement", None, False, "no misplaced columns"))
+    return TableOutcome(tuple(layers), tuple(steps))

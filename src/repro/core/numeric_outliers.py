@@ -14,6 +14,8 @@ from repro.llm.client import LLMClient, ValueCounts
 
 _NUM_RE = re.compile(r"^\s*-?\d+(\.\d+)?\s*$")
 _NONE = ColumnOutcome(False, "no numeric outliers")
+#: the share of rows that must be numeric for the column to be reviewed
+MIN_NUMERIC_FRAC = 0.8
 
 
 def clean_numeric_outliers(
@@ -22,7 +24,6 @@ def clean_numeric_outliers(
     llm: LLMClient,
     *,
     n_distinct: int,
-    min_numeric_frac: float = 0.8,
 ) -> ColumnOutcome:
     """Flag enumerated out-of-range values of a numeric-looking column.
 
@@ -35,7 +36,7 @@ def clean_numeric_outliers(
     total = sum(c for _, c in counts)
     if not numeric or n_distinct > len(counts):
         return _NONE
-    if sum(c for _, c, _ in numeric) / max(total, 1) < min_numeric_frac:
+    if sum(c for _, c, _ in numeric) / max(total, 1) < MIN_NUMERIC_FRAC:
         return _NONE
     lo = min(x for _, _, x in numeric)
     hi = max(x for _, _, x in numeric)

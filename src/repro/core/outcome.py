@@ -1,12 +1,30 @@
-"""The one result type of the per-column steps (§2.1.1-§2.1.5).
+"""The result types of the cleaning steps (§2.1).
 
-Each per-column ``clean_*`` function returns a :class:`ColumnOutcome`;
-``CocoonPipeline.clean`` is the only place that turns one into a SQL
-layer expression and folds it into the column's frequency vector.
+Each per-column ``clean_*`` function (§2.1.1-§2.1.5) returns a
+:class:`ColumnOutcome`; ``CocoonPipeline.clean`` is the only place that
+turns one into a SQL layer expression and folds it into the column's
+frequency vector. Each table-level step (misplacement, FDs, duplication,
+uniqueness) returns a :class:`TableOutcome`: its finished SQL layers and
+its audit entries, which the pipeline appends as they are.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.core.sql_emit import Layer
+
+#: the surrogate key; excluded from row identity, orders dedupe windows
+ROW_ID = "row_id"
+
+
+@dataclass(frozen=True)
+class StepReport:
+    """One detection/cleaning decision, for the HIL report (§2.2)."""
+
+    step: str
+    column: str | None
+    detected: bool
+    summary: str
 
 
 @dataclass(frozen=True)
@@ -24,3 +42,16 @@ class ColumnOutcome:
     comment: str = ""
     mapping: dict[str, str] = field(default_factory=dict)
     nulled: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class TableOutcome:
+    """What one table-level step decided.
+
+    ``layers`` are commented SQL layers to append, in order; ``steps``
+    are the reports to record. A step that emits no layer still records
+    one report.
+    """
+
+    layers: tuple[Layer, ...]
+    steps: tuple[StepReport, ...]

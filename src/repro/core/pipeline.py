@@ -7,11 +7,14 @@ missing values -> column type -> numeric outliers. Every entry returns
 a :class:`~repro.core.outcome.ColumnOutcome` (values to rewrite or to
 null, plus summary and reasoning); one loop turns each outcome into a
 commented SQL layer and folds it into the column's frequency vector.
-Then table-level: misplacement -> functional dependencies ->
-duplication -> column uniqueness, each with its own plan type. Every
-step couples Spark statistical detection with LLM semantic
-detection/cleaning; the final artifact is one nested-CTE statement that
-Spark executes (and the DuckDB oracle re-executes in tests).
+Then table-level: misplacement -> functional dependencies over the
+column-cleaned data, then duplication -> column uniqueness over the
+repaired data. Each of these returns a
+:class:`~repro.core.outcome.TableOutcome` (its finished SQL layers and
+report entries), which one loop per stage appends. Every step couples
+Spark statistical detection with LLM semantic detection/cleaning; the
+final artifact is one nested-CTE statement that Spark executes (and the
+DuckDB oracle re-executes in tests).
 
 The input table must be all-string columns plus a ``row_id`` surrogate
 key — the CSV-benchmark shape the paper evaluates on.
@@ -30,6 +33,7 @@ from repro.core.duplication import clean_duplication
 from repro.core.functional_dependency import clean_fds
 from repro.core.misplacement import clean_misplacement
 from repro.core.numeric_outliers import clean_numeric_outliers
+from repro.core.outcome import ROW_ID, StepReport
 from repro.core.pattern_outliers import clean_pattern_outliers
 from repro.core.sql_emit import Layer, build_sql
 from repro.core.string_outliers import clean_string_outliers
@@ -41,17 +45,6 @@ from repro.profiling.duplicates import unique_ratios
 #: top values profiled per column; a column with more distinct values
 #: skips the steps that need an exhaustive value list
 MAX_DISTINCT = 5000
-ROW_ID = "row_id"
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """One detection/cleaning decision, for the HIL report (§2.2)."""
-
-    step: str
-    column: str | None
-    detected: bool
-    summary: str
 
 
 @dataclass
@@ -61,7 +54,6 @@ class CleanReport:
     cleaned: DataFrame
     sql: str
     steps: list[StepReport] = field(default_factory=list)
-    layers: list[Layer] = field(default_factory=list)
     llm_calls: int = 0
     view: str = ""
 
@@ -132,90 +124,27 @@ class CocoonPipeline:
         # and FD group repairs would otherwise overwrite the swap
         # evidence in the repaired column.
         df_a = spark.sql(build_sql(view, layers, all_cols)).cache()
-        mis = clean_misplacement(df_a, counts_by_col, self.llm)
-        swapped_cols: set[str] = set()
-        for j, swap in enumerate(mis.swaps):
-            if {swap.col_a, swap.col_b} & swapped_cols:
-                continue
-            swapped_cols |= {swap.col_a, swap.col_b}
-            a_expr, b_expr = sql_emit.swap_case(
-                swap.col_a, swap.col_b,
-                swap.a_offending, swap.b_offending)
-            layer = Layer(f"clean_misplacement_{j}")
-            layer.exprs[swap.col_a] = a_expr
-            layer.exprs[swap.col_b] = b_expr
-            layer.comments.append(
-                f"{swap.col_a} <-> {swap.col_b}: {swap.n_evidence} rows "
-                "hold each other's values; swap them back")
-            layers.append(layer)
-            report.steps.append(StepReport(
-                "misplacement", f"{swap.col_a}/{swap.col_b}", True,
-                f"swapped {swap.n_evidence} misplaced value pairs"))
-        if not mis.swaps:
-            report.steps.append(StepReport(
-                "misplacement", None, False, "no misplaced columns"))
-
         n_distinct = {
             c: (len(counts_by_col[c]) if covered[c] else MAX_DISTINCT + 1)
             for c in cols
         }
-        fd = clean_fds(df_a, cols, self.llm, n_distinct=n_distinct,
-                       total=total)
-        for i, plan in enumerate(fd.repairs):
-            layer = Layer(f"clean_fd_{i}")
-            layer.exprs[plan.rhs] = sql_emit.fd_repair_case(
-                plan.lhs, plan.rhs, plan.mapping)
-            layer.comments.append(
-                f"FD {plan.lhs} -> {plan.rhs} (H={plan.conditional_entropy:.3f}): "
-                f"repaired {len(plan.mapping)} groups, abstained on "
-                f"{len(plan.abstained)} ambiguous groups")
-            layers.append(layer)
-            report.steps.append(StepReport(
-                "functional_dependency", plan.rhs, True,
-                f"{plan.lhs} -> {plan.rhs}: repaired "
-                f"{len(plan.mapping)} groups, abstained "
-                f"{len(plan.abstained)}"))
-        if not fd.repairs:
-            report.steps.append(StepReport(
-                "functional_dependency", None, False,
-                "no meaningful FD with repairable violations"))
+        for out in (clean_misplacement(df_a, counts_by_col, self.llm),
+                    clean_fds(df_a, cols, self.llm, n_distinct=n_distinct,
+                              total=total)):
+            layers.extend(out.layers)
+            report.steps.extend(out.steps)
         df_a.unpersist()
 
         # ---- stage C: duplication and uniqueness over repaired data ----
         df_b = spark.sql(build_sql(view, layers, all_cols)).cache()
-        dup = clean_duplication(df_b, table_name, cols, self.llm)
-        report.steps.append(StepReport(
-            "duplication", None, dup.detected,
-            (f"{dup.surplus} surplus duplicate rows"
-             + ("; removed" if dup.should_dedupe else "; acceptable"))
-            if dup.detected else "no duplicate rows"))
-        if dup.should_dedupe:
-            layers.append(Layer(
-                "clean_duplication", kind="window_dedupe",
-                comments=[dup.review.reasoning],
-                key_cols=cols, order_col=ROW_ID))
-
-        uq = clean_uniqueness(cols, unique_ratios(df_b, cols), self.llm)
-        for plan in uq.plans:
-            layers.append(Layer(
-                f"clean_uniqueness_{plan.column}", kind="window_dedupe",
-                comments=[plan.review.reasoning],
-                key_cols=[plan.column],
-                order_col=plan.order_by or ROW_ID,
-                order_desc=plan.order_by is not None))
-            report.steps.append(StepReport(
-                "uniqueness", plan.column, True,
-                f"deduplicated on {plan.column} keeping "
-                + (f"latest {plan.order_by}" if plan.order_by
-                   else "first row")))
-        if not uq.plans:
-            report.steps.append(StepReport(
-                "uniqueness", None, False,
-                "no should-be-unique column with duplicates"))
+        for out in (clean_duplication(df_b, table_name, cols, self.llm),
+                    clean_uniqueness(cols, unique_ratios(df_b, cols),
+                                     self.llm)):
+            layers.extend(out.layers)
+            report.steps.extend(out.steps)
         df_b.unpersist()
 
         report.sql = build_sql(view, layers, all_cols)
-        report.layers = layers
         report.cleaned = spark.sql(report.sql)
         report.llm_calls = getattr(self.llm, "calls", 0) - calls0
         return report

@@ -1,7 +1,7 @@
 """String outliers (§2.1.1): semantic typo / inconsistency cleaning.
 
-Statistical detection samples the frequent values of a column (default
-1000); the LLM reviews them batch-by-batch (default batch 1000) for
+Statistical detection samples the frequent values of a column; the LLM
+reviews them batch-by-batch (``BATCH_SIZE`` values per prompt) for
 typos and inconsistent representations (Fig. 2), then builds an
 erroneous->correct mapping (Fig. 3) executed as a ``CASE WHEN`` layer.
 """
@@ -10,27 +10,29 @@ from __future__ import annotations
 from repro.core.outcome import ColumnOutcome
 from repro.llm.client import LLMClient, ValueCounts
 
+#: values per review prompt
+BATCH_SIZE = 1000
+#: the column's most frequent values, added to every batch's prompt
+CONTEXT_TOP = 200
+
 
 def clean_string_outliers(
     column: str,
     counts: ValueCounts,
     llm: LLMClient,
-    *,
-    batch_size: int = 1000,
-    context_top: int = 200,
 ) -> ColumnOutcome:
     """Review value batches and collect the combined cleaning mapping.
 
     Each cleaning call sees the batch plus the column's overall most
-    frequent values (``context_top``) so a typo in a late batch can
+    frequent values (``CONTEXT_TOP``) so a typo in a late batch can
     still be mapped onto a frequent correct value from an early one.
     The SQL comment is the reasoning of the last prompt in call order.
     """
-    top_context = counts[:context_top]
+    top_context = counts[:CONTEXT_TOP]
     reasoning = ""
     mapping: dict[str, str] = {}
-    for start in range(0, len(counts), batch_size):
-        batch = counts[start:start + batch_size]
+    for start in range(0, len(counts), BATCH_SIZE):
+        batch = counts[start:start + BATCH_SIZE]
         seen = {v for v, _ in batch}
         # every batch prompt also carries the column's overall most
         # frequent values, so typos in late batches can be recognized

@@ -7,53 +7,47 @@ time). Cleaning is a window function keyed on the column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.core.outcome import ROW_ID, StepReport, TableOutcome
+from repro.core.sql_emit import Layer
 from repro.llm.client import LLMClient
-from repro.llm.types import UniquenessReview
 
-
-@dataclass
-class UniquenessPlan:
-    column: str
-    order_by: str | None
-    review: UniquenessReview
-
-
-@dataclass
-class UniquenessResult:
-    plans: list[UniquenessPlan] = field(default_factory=list)
-    responses: list[UniquenessReview] = field(default_factory=list)
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.plans)
+#: the lowest unique ratio at which a column may still be a dirty key
+MIN_RATIO = 0.95
 
 
 def clean_uniqueness(
     columns: list[str],
     unique_ratios: dict[str, float],
     llm: LLMClient,
-    *,
-    min_ratio: float = 0.95,
-) -> UniquenessResult:
-    """Plan dedupe windows for should-be-unique columns with duplicates.
+) -> TableOutcome:
+    """One dedupe window per should-be-unique column with duplicates.
 
     Columns with ratio exactly 1.0 are already unique — nothing to
-    clean; columns far below ``min_ratio`` are clearly not keys, so the
+    clean; columns below ``MIN_RATIO`` are clearly not keys, so the
     LLM is not consulted (mirrors the paper's statistical pre-filter).
     """
-    result = UniquenessResult()
+    layers: list[Layer] = []
+    steps: list[StepReport] = []
     for col in columns:
         ratio = unique_ratios.get(col, 1.0)
-        if not (min_ratio <= ratio < 1.0):
+        if not (MIN_RATIO <= ratio < 1.0):
             continue
         others = [c for c in columns if c != col]
         review = llm.review_uniqueness(col, ratio, others)
-        result.responses.append(review)
-        if review.should_be_unique:
-            result.plans.append(
-                UniquenessPlan(column=col, order_by=review.order_by,
-                               review=review)
-            )
-    return result
+        if not review.should_be_unique:
+            continue
+        order_by = review.order_by
+        layers.append(Layer(
+            f"clean_uniqueness_{col}", kind="window_dedupe",
+            comments=[review.reasoning], key_cols=[col],
+            order_col=order_by or ROW_ID,
+            order_desc=order_by is not None))
+        steps.append(StepReport(
+            "uniqueness", col, True,
+            f"deduplicated on {col} keeping "
+            + (f"latest {order_by}" if order_by else "first row")))
+    if not steps:
+        steps.append(StepReport(
+            "uniqueness", None, False,
+            "no should-be-unique column with duplicates"))
+    return TableOutcome(tuple(layers), tuple(steps))

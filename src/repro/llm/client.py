@@ -102,24 +102,20 @@ class _StringIndex:
 class SimulatedLLM:
     """Deterministic stand-in for the paper's Claude 3.5 calls.
 
-    Parameters mirror the judgement thresholds a prompt-engineered LLM
-    effectively applies: ``min_freq_ratio`` for "this rare value looks
-    like a typo of that common value", ``fd_confidence`` for "the true
-    value of this FD group is determinable" (below it the model abstains
-    — the behaviour behind the paper's Flights discussion), and
-    ``type_coverage`` for "enough values parse as this semantic type".
+    The class constants mirror the judgement thresholds a
+    prompt-engineered LLM effectively applies: ``MIN_FREQ_RATIO`` for
+    "this rare value looks like a typo of that common value",
+    ``FD_CONFIDENCE`` for "the true value of this FD group is
+    determinable" (below it the model abstains — the behaviour behind
+    the paper's Flights discussion), and ``TYPE_COVERAGE`` for "enough
+    values parse as this semantic type".
     """
 
-    def __init__(
-        self,
-        *,
-        min_freq_ratio: float = 4.0,
-        fd_confidence: float = 0.66,
-        type_coverage: float = 0.95,
-    ) -> None:
-        self.min_freq_ratio = min_freq_ratio
-        self.fd_confidence = fd_confidence
-        self.type_coverage = type_coverage
+    MIN_FREQ_RATIO = 4.0
+    FD_CONFIDENCE = 0.66
+    TYPE_COVERAGE = 0.95
+
+    def __init__(self) -> None:
         self.calls = 0  # prompt counter, reported in cleaning summaries
         self._string_index: _StringIndex | None = None
 
@@ -166,7 +162,7 @@ class SimulatedLLM:
         budget = kb.typo_budget(value)
         low = value.lower()
         stripped = kb.strip_digits(value)
-        floor = freq * self.min_freq_ratio
+        floor = freq * self.MIN_FREQ_RATIO
         scored: list[tuple[int, int, str]] = []
         # a candidate whose length differs by more than the budget is
         # more than the budget away
@@ -319,7 +315,7 @@ class SimulatedLLM:
         total = sum(c for _, c in vals)
 
         def _covers(parse) -> bool:
-            return sum(c for v, c in vals if parse(v) is not None) / total >= self.type_coverage
+            return sum(c for v, c in vals if parse(v) is not None) / total >= self.TYPE_COVERAGE
 
         if all(kb.boolean_token(v) is not None for v, _ in vals):
             mapping = {v: str(kb.boolean_token(v)) for v, _ in vals
@@ -439,7 +435,7 @@ class SimulatedLLM:
                                              cap=kb.typo_budget(v) + 1)
                         <= kb.typo_budget(v)):
                     support += c
-            if total > 0 and support / total >= self.fd_confidence:
+            if total > 0 and support / total >= self.FD_CONFIDENCE:
                 mapping[key] = mode
             else:
                 abstained.append(key)

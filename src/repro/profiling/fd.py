@@ -28,6 +28,12 @@ from pyspark.sql import DataFrame
 
 Groups = dict[str, list[tuple[str, int]]]
 
+#: a column with more distinct values is too near-unique to be an LHS
+#: and too high-cardinality to be an RHS
+MAX_DISTINCT = 1000
+#: the largest H(B|A) / H(B) of a candidate
+MAX_ENTROPY_RATIO = 0.35
+
 
 @dataclass(frozen=True)
 class FDCandidate:
@@ -59,7 +65,7 @@ def _quote(column: str) -> str:
 
 def _candidate(
     lhs: str, rhs: str, joint: list[tuple[str, str, int]], *,
-    max_entropy_ratio: float, max_violation_rate: float,
+    max_violation_rate: float,
     exclude_lhs_values: frozenset[str] | None,
 ) -> FDCandidate | None:
     """``lhs -> rhs`` from its joint counts ``(lhs value, rhs value, n)``."""
@@ -87,7 +93,7 @@ def _candidate(
     viol_rows = sum(sum(c for _, c in v) - max(c for _, c in v)
                     for v in violating.values())
     rate = viol_rows / n if n else 0.0
-    if violating and ratio <= max_entropy_ratio and rate <= max_violation_rate:
+    if violating and ratio <= MAX_ENTROPY_RATIO and rate <= max_violation_rate:
         return FDCandidate(lhs, rhs, cond, ratio, rate, len(violating),
                            violating)
     return None
@@ -99,8 +105,6 @@ def discover_fds(
     *,
     n_distinct: dict[str, int],
     total: int,
-    max_distinct: int = 1000,
-    max_entropy_ratio: float = 0.35,
     max_violation_rate: float = 0.45,
     exclude_lhs_values: frozenset[str] | None = None,
 ) -> list[FDCandidate]:
@@ -114,7 +118,7 @@ def discover_fds(
     """
     cand = [
         c for c in columns
-        if 2 <= n_distinct.get(c, total) <= min(max_distinct, int(total * 0.9))
+        if 2 <= n_distinct.get(c, total) <= min(MAX_DISTINCT, int(total * 0.9))
     ]
     pairs = [(a, b) for i, a in enumerate(cand) for b in cand[i + 1:]]
     if not pairs:
@@ -139,7 +143,6 @@ def discover_fds(
         for lhs, rhs, rows in ((a, b, joint),
                                (b, a, [(vb, va, c) for va, vb, c in joint])):
             fd = _candidate(lhs, rhs, rows,
-                            max_entropy_ratio=max_entropy_ratio,
                             max_violation_rate=max_violation_rate,
                             exclude_lhs_values=exclude_lhs_values)
             if fd is not None:

@@ -1,5 +1,6 @@
 """Unit tests for the per-issue core step modules (no Spark needed for
 the per-column ones — they consume frequency vectors)."""
+from repro.core import StepReport
 from repro.core.column_type import clean_column_type
 from repro.core.dmv import clean_dmv
 from repro.core.numeric_outliers import clean_numeric_outliers
@@ -35,14 +36,14 @@ def test_string_outliers_batching_uses_global_context():
     # the typo sits in the second batch; its donor is in the first
     counts = [("Birmingham", 500)] + [(f"city{i:04d}", 2) for i in range(999)]
     counts += [("Birminghxm", 1)]
-    r = clean_string_outliers("city", counts, LLM, batch_size=1000)
+    r = clean_string_outliers("city", counts, LLM)
     assert r.mapping == {"Birminghxm": "Birmingham"}
 
 
 def test_string_outliers_batch_count():
     llm = SimulatedLLM()
     counts = [(f"w{i:05d}", 1) for i in range(2500)]
-    clean_string_outliers("c", counts, llm, batch_size=1000)
+    clean_string_outliers("c", counts, llm)
     assert llm.calls == 3  # one detection review per 1000-value batch
 
 
@@ -119,12 +120,21 @@ def test_numeric_outliers_skips_partial_coverage():
 def test_uniqueness_plans_for_near_unique_key():
     r = clean_uniqueness(["order_id", "updated_time"],
                          {"order_id": 0.99, "updated_time": 0.5}, LLM)
-    assert r.detected
-    assert r.plans[0].column == "order_id"
-    assert r.plans[0].order_by == "updated_time"
+    (layer,) = r.layers
+    assert (layer.name, layer.kind) == ("clean_uniqueness_order_id",
+                                        "window_dedupe")
+    assert layer.key_cols == ["order_id"]
+    assert (layer.order_col, layer.order_desc) == ("updated_time", True)
+    assert r.steps == (StepReport(
+        "uniqueness", "order_id", True,
+        "deduplicated on order_id keeping latest updated_time"),)
 
 
 def test_uniqueness_ignores_exactly_unique_and_low_ratio():
+    llm = SimulatedLLM()
     r = clean_uniqueness(["order_id", "city"],
-                         {"order_id": 1.0, "city": 0.2}, LLM)
-    assert not r.detected
+                         {"order_id": 1.0, "city": 0.2}, llm)
+    assert r.layers == () and llm.calls == 0
+    assert r.steps == (StepReport(
+        "uniqueness", None, False,
+        "no should-be-unique column with duplicates"),)

@@ -5,6 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.benchdata.base import to_spark_strings
+from repro.profiling import fd
 from repro.profiling.fd import _entropy, discover_fds, violating_groups
 
 
@@ -68,11 +69,11 @@ def test_discover_fd_exact_fd_not_a_candidate(spark):
     assert cands == []
 
 
-def test_discover_fd_prunes_high_cardinality(fd_frame):
+def test_discover_fd_prunes_high_cardinality(fd_frame, monkeypatch):
     _pdf, df = fd_frame
+    monkeypatch.setattr(fd, "MAX_DISTINCT", 2)
     cands = discover_fds(df, ["zip", "city"],
-                         n_distinct={"zip": 3, "city": 5},
-                         total=60, max_distinct=2)
+                         n_distinct={"zip": 3, "city": 5}, total=60)
     assert cands == []
 
 

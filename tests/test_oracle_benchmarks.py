@@ -15,15 +15,20 @@ from repro.llm import SimulatedLLM
 from repro.oracle import assert_equivalent
 
 
-#: sha256(SQL)[:16] and LLM calls at each generator's default seed; a
-#: speed-up must not move them. Movies is not pinned: its generator draws
-#: directors from a set, so its table depends on PYTHONHASHSEED.
+#: sha256(SQL)[:16], LLM calls and sha256(repr(report.steps))[:16] at
+#: each generator's default seed; a speed-up or refactor must not move
+#: them. Movies is not pinned: its generator draws directors from a set,
+#: so its table depends on PYTHONHASHSEED.
 PINNED = {
-    "hospital": ("c55c0390fad2ff3d", 146),
-    "flights": ("9358b01ca9593128", 44),
-    "beers": ("e63723ed28649089", 57),
-    "rayyan": ("a3f8ffb0c319f4c8", 66),
+    "hospital": ("c55c0390fad2ff3d", 146, "01150c2d3bd27c39"),
+    "flights": ("9358b01ca9593128", 44, "33366ccb4e3b55a4"),
+    "beers": ("e63723ed28649089", 57, "81076024f9db16bf"),
+    "rayyan": ("a3f8ffb0c319f4c8", 66, "981030f415ffeb68"),
 }
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize(
@@ -35,8 +40,8 @@ def test_cocoon_sql_is_engine_portable(spark, name):
     assert_equivalent(rep.cleaned, rep.sql,
                       **{f"cocoon_{name}": bench.dirty})
     if name in PINNED:
-        sql_hash = hashlib.sha256(rep.sql.encode()).hexdigest()[:16]
-        assert (sql_hash, rep.llm_calls) == PINNED[name]
+        assert (_digest(rep.sql), rep.llm_calls,
+                _digest(repr(rep.steps))) == PINNED[name]
 
 
 def test_cocoon_cleaned_approaches_truth_on_hospital(spark):

@@ -8,7 +8,7 @@ from repro.llm import SimulatedLLM
 from repro.llm import knowledge as kb
 from repro.llm.client import _concept_key, _digit_heavy
 
-MIN_FREQ_RATIO = SimulatedLLM().min_freq_ratio
+MIN_FREQ_RATIO = SimulatedLLM.MIN_FREQ_RATIO
 
 
 # -- the reference: rescan every value for every value ----------------------
