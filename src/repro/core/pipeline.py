@@ -40,7 +40,6 @@ from repro.core.string_outliers import clean_string_outliers
 from repro.core.uniqueness import clean_uniqueness
 from repro.llm.client import LLMClient
 from repro.profiling.column_profile import profile_table
-from repro.profiling.duplicates import unique_ratios
 
 #: top values profiled per column; a column with more distinct values
 #: skips the steps that need an exhaustive value list
@@ -138,8 +137,10 @@ class CocoonPipeline:
         # ---- stage C: duplication and uniqueness over repaired data ----
         df_b = spark.sql(build_sql(view, layers, all_cols)).cache()
         for out in (clean_duplication(df_b, table_name, cols, self.llm),
-                    clean_uniqueness(cols, unique_ratios(df_b, cols),
-                                     self.llm)):
+                    clean_uniqueness(cols, {
+                        c: p.unique_ratio for c, p in
+                        profile_table(df_b, cols, top_k=0).items()},
+                        self.llm)):
             layers.extend(out.layers)
             report.steps.extend(out.steps)
         df_b.unpersist()

@@ -1,4 +1,4 @@
-"""Per-column statistical profiles via DataFrame aggregations.
+"""Per-column statistical profiles from one Spark aggregation.
 
 The profile carries exactly what the paper's prompts need: row/null
 counts, distinct cardinality, and the top-K value frequencies (the
@@ -6,13 +6,20 @@ counts, distinct cardinality, and the top-K value frequencies (the
 ordered by descending count with the value itself as a deterministic
 tie-break so profiles — and therefore every downstream LLM decision —
 are stable across runs.
+
+Every statistic comes from **one** Spark job: the table is unpivoted
+to ``(column, value)`` cells, NULL cells included, and a single
+``groupBy`` counts them. The counts are collected through Arrow and
+everything else is derived on the driver: a count-distinct per column
+would make Spark add an ``Expand`` and a two-level aggregate, and a
+top-K window a second shuffle.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -37,50 +44,37 @@ class ColumnProfile:
 
 def profile_table(df: DataFrame, columns: list[str], *,
                   top_k: int = 1000) -> dict[str, ColumnProfile]:
-    """Profile many string columns in two Spark jobs total.
+    """Profile many string columns in one Spark job.
 
-    Job 1: one aggregation computes totals / non-null / distinct counts
-    for every column. Job 2: the table is unpivoted to (column, value)
-    cells, grouped once, and a window keeps each column's top-K values —
-    one shuffle for the whole table instead of one per column.
+    The driver receives one row per distinct (column, value), NULL
+    included. A column's ``total`` is the sum of its counts, ``nulls``
+    its NULL group's count and ``n_distinct`` its number of non-NULL
+    groups. Its top values are the non-NULL groups ordered by
+    ``(-count, value)``: Python's code-point order of ``str`` equals
+    Spark's binary UTF-8 order, so ties break as a Spark sort would.
     """
-    from pyspark.sql import Window
-
-    aggs = [F.count(F.lit(1)).alias("__total")]
-    for c in columns:
-        aggs.append(F.count(F.col(c)).alias(f"{c}__nn"))
-        aggs.append(F.count_distinct(F.col(c)).alias(f"{c}__d"))
-    stats = df.agg(*aggs).collect()[0]
-    total = stats["__total"]
-
-    melted = df.unpivot(
-        ids=[], values=columns,
-        variableColumnName="__col", valueColumnName="__val",
-    ).where(F.col("__val").isNotNull())
-    ranked = (
-        melted.groupBy("__col", "__val")
-        .agg(F.count(F.lit(1)).alias("__cnt"))
-        .withColumn(
-            "__rn",
-            F.row_number().over(
-                Window.partitionBy("__col")
-                .orderBy(F.desc("__cnt"), F.asc("__val"))
-            ),
-        )
-        .where(F.col("__rn") <= top_k)
-        .collect()
+    counts = (
+        df.unpivot(ids=[], values=columns,
+                   variableColumnName="__col", valueColumnName="__val")
+        .groupBy("__col", "__val").count()
+        .toPandas()
     )
-    tops: dict[str, list[tuple[str, int]]] = {c: [] for c in columns}
-    for r in sorted(ranked, key=lambda r: (r["__col"], r["__rn"])):
-        tops[r["__col"]].append((r["__val"], r["__cnt"]))
+    nulls = dict.fromkeys(columns, 0)
+    groups: dict[str, list[tuple[str, int]]] = {c: [] for c in columns}
+    for c, v, n in zip(counts["__col"].tolist(), counts["__val"].tolist(),
+                       counts["count"].tolist()):
+        if v is None:
+            nulls[c] = n
+        else:
+            groups[c].append((v, n))
     return {
         c: ColumnProfile(
             name=c,
-            total=total,
-            nulls=total - stats[f"{c}__nn"],
-            n_distinct=stats[f"{c}__d"],
-            top_values=tuple(tops[c]),
+            total=nulls[c] + sum(n for _, n in groups[c]),
+            nulls=nulls[c],
+            n_distinct=len(groups[c]),
+            top_values=tuple(heapq.nsmallest(
+                top_k, groups[c], key=lambda vn: (-vn[1], vn[0]))),
         )
         for c in columns
     }
-

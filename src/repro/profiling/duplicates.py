@@ -1,4 +1,4 @@
-"""Duplicate-row and uniqueness statistics (paper §2.1.7-§2.1.8)."""
+"""Duplicate-row statistics (paper §2.1.7)."""
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
@@ -32,14 +32,3 @@ def duplicate_rows(
             )
     return surplus, examples
 
-
-def unique_ratios(df: DataFrame, columns: list[str]) -> dict[str, float]:
-    """distinct / non-null count of each column (1.0 for an empty
-    column), in one aggregation."""
-    aggs = []
-    for c in columns:
-        aggs.append(F.count_distinct(F.col(c)).alias(f"{c}__d"))
-        aggs.append(F.count(F.col(c)).alias(f"{c}__n"))
-    row = df.agg(*aggs).collect()[0]
-    return {c: row[f"{c}__d"] / row[f"{c}__n"] if row[f"{c}__n"] else 1.0
-            for c in columns}

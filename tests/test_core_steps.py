@@ -132,8 +132,9 @@ def test_uniqueness_plans_for_near_unique_key():
 
 def test_uniqueness_ignores_exactly_unique_and_low_ratio():
     llm = SimulatedLLM()
-    r = clean_uniqueness(["order_id", "city"],
-                         {"order_id": 1.0, "city": 0.2}, llm)
+    # an all-NULL column has ratio 0.0
+    r = clean_uniqueness(["order_id", "city", "notes"],
+                         {"order_id": 1.0, "city": 0.2, "notes": 0.0}, llm)
     assert r.layers == () and llm.calls == 0
     assert r.steps == (StepReport(
         "uniqueness", None, False,

@@ -1,22 +1,18 @@
 """Profiling substrate vs. pandas ground truth (Spark aggregations)."""
 import pandas as pd
 import pytest
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.benchdata import load
 from repro.benchdata.base import to_spark_strings
-from repro.profiling import (
-    ColumnProfile,
-    duplicate_rows,
-    profile_table,
-    unique_ratios,
-)
+from repro.profiling import ColumnProfile, duplicate_rows, profile_table
 
 
 def _profile_column(df: DataFrame, column: str, *,
                     top_k: int) -> ColumnProfile:
     """Reference profile of one column: a plain count aggregation and a
-    grouped top-K, independent of ``profile_table``'s unpivot/window."""
+    grouped top-K, independent of ``profile_table``'s unpivot/groupBy."""
     c = F.col(column)
     counts = df.agg(
         F.count(F.lit(1)).alias("total"),
@@ -38,6 +34,44 @@ def _profile_column(df: DataFrame, column: str, *,
         n_distinct=counts["n_distinct"],
         top_values=tuple((r["v"], r["cnt"]) for r in top),
     )
+
+
+def _profile_table_reference(df: DataFrame, columns: list[str], *,
+                             top_k: int) -> dict[str, ColumnProfile]:
+    """The earlier two-job ``profile_table``: one count / count-distinct
+    aggregation, then an unpivot, ``groupBy`` and ``row_number`` window
+    that keeps each column's top-K values."""
+    aggs = [F.count(F.lit(1)).alias("__total")]
+    for c in columns:
+        aggs.append(F.count(F.col(c)).alias(f"{c}__nn"))
+        aggs.append(F.count_distinct(F.col(c)).alias(f"{c}__d"))
+    stats = df.agg(*aggs).collect()[0]
+    total = stats["__total"]
+    ranked = (
+        df.unpivot(ids=[], values=columns,
+                   variableColumnName="__col", valueColumnName="__val")
+        .where(F.col("__val").isNotNull())
+        .groupBy("__col", "__val")
+        .agg(F.count(F.lit(1)).alias("__cnt"))
+        .withColumn("__rn", F.row_number().over(
+            Window.partitionBy("__col")
+            .orderBy(F.desc("__cnt"), F.asc("__val"))))
+        .where(F.col("__rn") <= top_k)
+        .collect()
+    )
+    tops: dict[str, list[tuple[str, int]]] = {c: [] for c in columns}
+    for r in sorted(ranked, key=lambda r: (r["__col"], r["__rn"])):
+        tops[r["__col"]].append((r["__val"], r["__cnt"]))
+    return {
+        c: ColumnProfile(
+            name=c,
+            total=total,
+            nulls=total - stats[f"{c}__nn"],
+            n_distinct=stats[f"{c}__d"],
+            top_values=tuple(tops[c]),
+        )
+        for c in columns
+    }
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +118,48 @@ def test_profile_table_matches_per_column(toy):
         assert profs[col] == single, col
 
 
+@pytest.mark.parametrize("top_k", [5000, 3])
+@pytest.mark.parametrize(
+    "name", ["hospital", "flights", "beers", "rayyan", "movies"])
+def test_profile_table_matches_reference_on_benchmarks(spark, name, top_k):
+    """``top_k=3`` truncates inside runs of equal counts."""
+    df = load(name).spark_dirty(spark)
+    cols = [c for c in df.columns if c != "row_id"]
+    assert (profile_table(df, cols, top_k=top_k)
+            == _profile_table_reference(df, cols, top_k=top_k))
+
+
+@pytest.mark.parametrize("values, top_k", [
+    pytest.param([None] * 4, 10, id="all-null"),
+    pytest.param([None] * 5 + ["b", "b", "a", "c"], 2,
+                 id="null-most-frequent"),
+    pytest.param([], 10, id="no-rows"),
+    pytest.param(["a", "b", "b", None], 0, id="top-k-0"),
+    # code-point (and UTF-8) order is z < é < Ａ < 😀; UTF-16 order puts
+    # the surrogate pair of 😀 before Ａ
+    pytest.param(["😀", "Ａ", "é", "z"] * 2 + ["q"], 3, id="unicode-ties"),
+])
+def test_profile_table_edge_cases(spark, values, top_k):
+    df = spark.createDataFrame([(v,) for v in values], "v string")
+    assert (profile_table(df, ["v"], top_k=top_k)["v"]
+            == _profile_column(df, "v", top_k=top_k))
+
+
+def test_profile_table_runs_one_spark_action(toy, monkeypatch):
+    from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
+
+    actions = []
+    for name in ("collect", "toPandas", "count"):
+        def counted(self, *args, _name=name,
+                    _orig=getattr(ClassicDataFrame, name), **kwargs):
+            actions.append(_name)
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(ClassicDataFrame, name, counted)
+    _pdf, df = toy
+    profile_table(df, ["city", "score", "mixed"], top_k=2)
+    assert len(actions) == 1, actions
+
+
 def test_duplicate_rows(spark):
     pdf = pd.DataFrame({
         "row_id": ["0", "1", "2", "3"],
@@ -101,6 +177,6 @@ def test_duplicate_rows(spark):
 def test_unique_ratio(toy):
     _pdf, df = toy
     empty = df.withColumn("empty", F.lit(None).cast("string"))
-    ratios = unique_ratios(empty, ["city", "row_id", "empty"])
-    assert ratios == {"city": pytest.approx(3 / 9), "row_id": 1.0,
-                      "empty": 1.0}
+    profs = profile_table(empty, ["city", "row_id", "empty"], top_k=0)
+    assert {c: p.unique_ratio for c, p in profs.items()} == {
+        "city": pytest.approx(3 / 9), "row_id": 1.0, "empty": 0.0}
