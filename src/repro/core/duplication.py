@@ -1,29 +1,31 @@
 """Duplication (§2.1.7): semantically erroneous duplicate rows.
 
 Statistical detection finds exactly-duplicated rows (over the content
-columns — a surrogate ``row_id`` is excluded from row identity); the LLM
-judges whether duplication is semantically acceptable (e.g. coarse
-logging). Erroneous duplicates are removed with a dedupe layer
-equivalent to the paper's ``SELECT DISTINCT`` (a window keeps the
-first-``row_id`` copy so surrogate ids stay stable).
+columns — a surrogate ``row_id`` is excluded from row identity): the
+pipeline's stage C pass (:func:`repro.profiling.profile_rows`) returns
+every repeated row with its count. The LLM judges whether duplication
+is semantically acceptable (e.g. coarse logging). Erroneous duplicates
+are removed with a dedupe layer equivalent to the paper's ``SELECT
+DISTINCT`` (a window keeps the first-``row_id`` copy so surrogate ids
+stay stable).
 """
 from __future__ import annotations
-
-from pyspark.sql import DataFrame
 
 from repro.core.outcome import ROW_ID, StepReport, TableOutcome
 from repro.core.sql_emit import Layer
 from repro.llm.client import LLMClient
-from repro.profiling.duplicates import duplicate_rows
+from repro.profiling.column_profile import duplicate_rows
 
 
 def clean_duplication(
-    df: DataFrame,
     table: str,
     content_cols: list[str],
+    repeated: list[tuple[str, int]],
     llm: LLMClient,
 ) -> TableOutcome:
-    surplus, samples = duplicate_rows(df, subset=content_cols)
+    """``repeated`` is :func:`~repro.profiling.profile_rows`'s list of
+    repeated rows over ``content_cols``."""
+    surplus, samples = duplicate_rows(repeated, content_cols)
     if surplus == 0:
         return TableOutcome((), (StepReport(
             "duplication", None, False, "no duplicate rows"),))

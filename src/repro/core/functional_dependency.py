@@ -1,7 +1,8 @@
 """Functional dependencies (§2.1.6).
 
 Statistical detection: entropy-ranked single-attribute FD candidates
-(:func:`repro.profiling.discover_fds`). Semantic detection: the LLM
+(:mod:`repro.profiling.fd`; the pipeline reduces them from its folded
+value cube, Raha+Baran calls ``discover_fds``). Semantic detection: the LLM
 reviews whether each statistically strong FD is meaningful. Semantic
 cleaning: the LLM maps every violating group to its true RHS value — or
 abstains when no confident majority exists (the behaviour behind the
@@ -9,25 +10,22 @@ paper's Flights discussion). Cleaning is a per-FD ``CASE WHEN`` layer.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-
 from repro.core.outcome import StepReport, TableOutcome
 from repro.core.sql_emit import Layer, fd_repair_case
 from repro.llm.client import LLMClient
-from repro.profiling.fd import discover_fds, violating_groups
+# discover_fds is this step's statistical detection as one call over a
+# frame; it stays importable here, where perfbench/layers.py traces it
+from repro.profiling.fd import (  # noqa: F401
+    FDCandidate,
+    discover_fds,
+    violating_groups,
+)
 
 #: FD repair layers emitted at most
 MAX_FDS = 10
 
 
-def clean_fds(
-    df: DataFrame,
-    columns: list[str],
-    llm: LLMClient,
-    *,
-    n_distinct: dict[str, int],
-    total: int,
-) -> TableOutcome:
+def clean_fds(cands: list[FDCandidate], llm: LLMClient) -> TableOutcome:
     """Review FD candidates strongest-first and repair violating groups.
 
     Each RHS column is repaired by at most one FD (the statistically
@@ -36,7 +34,6 @@ def clean_fds(
     layers: list[Layer] = []
     steps: list[StepReport] = []
     repaired_rhs: set[str] = set()
-    cands = discover_fds(df, columns, n_distinct=n_distinct, total=total)
     for cand in cands:
         lhs, rhs = cand.lhs, cand.rhs
         if len(layers) >= MAX_FDS or rhs in repaired_rhs:

@@ -6,15 +6,26 @@ dimensions. Per column, it runs a five-entry step table in the
 missing values -> column type -> numeric outliers. Every entry returns
 a :class:`~repro.core.outcome.ColumnOutcome` (values to rewrite or to
 null, plus summary and reasoning); one loop turns each outcome into a
-commented SQL layer and folds it into the column's frequency vector.
-Then table-level: misplacement -> functional dependencies over the
-column-cleaned data, then duplication -> column uniqueness over the
-repaired data. Each of these returns a
-:class:`~repro.core.outcome.TableOutcome` (its finished SQL layers and
-report entries), which one loop per stage appends. Every step couples
-Spark statistical detection with LLM semantic detection/cleaning; the
-final artifact is one nested-CTE statement that Spark executes (and the
-DuckDB oracle re-executes in tests).
+commented SQL layer, folds it into the column's frequency vector and
+records it as the column's next value map. Then table-level:
+misplacement -> functional dependencies over the column-cleaned data,
+then duplication -> column uniqueness over the repaired data. Each of
+these returns a :class:`~repro.core.outcome.TableOutcome` (its finished
+SQL layers and report entries), which one loop per stage appends.
+Every step couples Spark statistical detection with LLM semantic
+detection/cleaning; the final artifact is one nested-CTE statement that
+Spark executes (and the DuckDB oracle re-executes in tests).
+
+Planning runs three Spark jobs, and only the input is cached:
+
+* stage A: one :func:`~repro.profiling.profile_table` of the input;
+* stage B: one :func:`~repro.profiling.fd.value_cube` of the input
+  over the FD candidate columns and the misplacement pairs' columns.
+  The stage A value maps are folded into it on the driver
+  (:func:`~repro.core.counts.fold_cube`), which gives the joint counts
+  of the column-cleaned table without evaluating its SQL;
+* stage C: one :func:`~repro.profiling.profile_rows` over the SQL of
+  stages A and B, for the unique ratios and the duplicate rows.
 
 The input table must be all-string columns plus a ``row_id`` surrogate
 key — the CSV-benchmark shape the paper evaluates on.
@@ -31,7 +42,7 @@ from repro.core.column_type import clean_column_type
 from repro.core.dmv import clean_dmv
 from repro.core.duplication import clean_duplication
 from repro.core.functional_dependency import clean_fds
-from repro.core.misplacement import clean_misplacement
+from repro.core.misplacement import clean_misplacement, domain_pairs
 from repro.core.numeric_outliers import clean_numeric_outliers
 from repro.core.outcome import ROW_ID, StepReport
 from repro.core.pattern_outliers import clean_pattern_outliers
@@ -39,7 +50,8 @@ from repro.core.sql_emit import Layer, build_sql
 from repro.core.string_outliers import clean_string_outliers
 from repro.core.uniqueness import clean_uniqueness
 from repro.llm.client import LLMClient
-from repro.profiling.column_profile import profile_table
+from repro.profiling import fd
+from repro.profiling.column_profile import profile_rows, profile_table
 
 #: top values profiled per column; a column with more distinct values
 #: skips the steps that need an exhaustive value list
@@ -85,6 +97,7 @@ class CocoonPipeline:
         )
         step_layers = {name: Layer(f"clean_{name}") for name, _ in steps}
         counts_by_col: dict[str, tuple[tuple[str, int], ...]] = {}
+        maps: dict[str, list[counts_util.ValueMap]] = {c: [] for c in cols}
         covered: dict[str, bool] = {}
         profiles = profile_table(df, cols, top_k=MAX_DISTINCT)
         total = profiles[cols[0]].total
@@ -108,9 +121,11 @@ class CocoonPipeline:
                 if out.mapping:
                     layer.exprs[c] = sql_emit.mapping_case(c, out.mapping)
                     counts = counts_util.apply_mapping(counts, out.mapping)
+                    maps[c].append(out.mapping)
                 elif out.nulled:
                     layer.exprs[c] = sql_emit.null_case(c, list(out.nulled))
                     counts = counts_util.remove_values(counts, out.nulled)
+                    maps[c].append(dict.fromkeys(out.nulled))
                 else:
                     continue
                 layer.comments.append(f"{c}: {out.comment}")
@@ -118,32 +133,41 @@ class CocoonPipeline:
 
         layers = [l for l in step_layers.values() if l.exprs]
 
-        # ---- stage B: misplacement and FDs over the column-cleaned data.
+        # ---- stage B: misplacement and FDs over the column-cleaned data,
+        # from one value cube of the input folded through stage A.
         # Swaps come first: misplacement is a row-local structural fix,
         # and FD group repairs would otherwise overwrite the swap
         # evidence in the repaired column.
-        df_a = spark.sql(build_sql(view, layers, all_cols)).cache()
         n_distinct = {
             c: (len(counts_by_col[c]) if covered[c] else MAX_DISTINCT + 1)
             for c in cols
         }
-        for out in (clean_misplacement(df_a, counts_by_col, self.llm),
-                    clean_fds(df_a, cols, self.llm, n_distinct=n_distinct,
-                              total=total)):
-            layers.extend(out.layers)
-            report.steps.extend(out.steps)
-        df_a.unpersist()
-
-        # ---- stage C: duplication and uniqueness over repaired data ----
-        df_b = spark.sql(build_sql(view, layers, all_cols)).cache()
-        for out in (clean_duplication(df_b, table_name, cols, self.llm),
-                    clean_uniqueness(cols, {
-                        c: p.unique_ratio for c, p in
-                        profile_table(df_b, cols, top_k=0).items()},
+        fd_pairs = fd.candidate_pairs(cols, n_distinct=n_distinct,
+                                      total=total)
+        swaps = domain_pairs(counts_by_col)
+        pairs = list(dict.fromkeys(fd_pairs + [(p.a, p.b) for p in swaps]))
+        joints = {}
+        if pairs:
+            cube, rows = fd.value_cube(
+                df, list(dict.fromkeys(c for p in pairs for c in p)))
+            joints = dict(zip(pairs, fd.pair_joints(
+                counts_util.fold_cube(cube, maps), rows, pairs)))
+        for out in (clean_misplacement(swaps, joints, self.llm),
+                    clean_fds(fd.fd_candidates(
+                        fd_pairs, [joints[p] for p in fd_pairs]),
                         self.llm)):
             layers.extend(out.layers)
             report.steps.extend(out.steps)
-        df_b.unpersist()
+
+        # ---- stage C: duplication and uniqueness over repaired data ----
+        col_profiles, repeated = profile_rows(
+            spark.sql(build_sql(view, layers, all_cols)), cols)
+        for out in (clean_duplication(table_name, cols, repeated, self.llm),
+                    clean_uniqueness(cols, {
+                        c: p.unique_ratio for c, p in col_profiles.items()},
+                        self.llm)):
+            layers.extend(out.layers)
+            report.steps.extend(out.steps)
 
         report.sql = build_sql(view, layers, all_cols)
         report.cleaned = spark.sql(report.sql)

@@ -329,8 +329,6 @@ _DATE_RES = (
     re.compile(r"^\d{1,2}/\d{1,2}/\d{4}$"),
     re.compile(r"^\d{4}-\d{2}-\d{2}$"),
 )
-_TIME_RE = re.compile(r"^\s*\d{1,2}:\d{2}\s*(?:a\.m\.|p\.m\.|am|pm)?\s*$",
-                      re.IGNORECASE)
 
 
 def is_int_string(v: str) -> bool:
@@ -343,10 +341,6 @@ def is_float_string(v: str) -> bool:
 
 def is_date_string(v: str) -> bool:
     return any(r.match(v.strip()) for r in _DATE_RES)
-
-
-def is_time_string(v: str) -> bool:
-    return bool(_TIME_RE.match(v))
 
 
 # ---------------------------------------------------------------------------

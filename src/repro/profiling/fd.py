@@ -6,27 +6,40 @@ entropy ``H(B|A) = H(A,B) - H(A)`` (the entropy measurement of Beskales
 et al. the paper cites): ``0`` means the FD holds exactly; small values
 mean a few violating groups.
 
-All pairwise joint distributions come from **one** Spark aggregation:
-``stack`` unpivots every row into one ``(pair, a, b)`` row per
-unordered column pair (NULLs dropped), and a single ``groupBy`` counts
-them — one shuffle for the whole pair lattice, with generated code
-linear in the number of pairs. ``H(A,B)`` is symmetric, so each pair's
-joint counts serve both directions. The counts are collected through
-Arrow and reduced on the driver with exactly rounded sums
-(:func:`math.fsum`), so the result does not depend on Spark's row
-order: mathematically tied candidates get bit-equal ratios and are
-ordered by ``(lhs, rhs)``. Each candidate carries its violating groups,
-which :func:`violating_groups` formats for the repair prompt without
-another Spark job.
+:func:`discover_fds` prunes the pair lattice (:func:`candidate_pairs`)
+and composes three parts:
+
+1. :func:`value_cube`: **one** Spark aggregation, a ``groupBy`` over
+   every candidate column with a row count, collected through Arrow.
+   It has at most one row per input row, however many pairs there are.
+2. :func:`pair_joints`: each pair's joint counts, marginalized from the
+   cube on the driver with vectorized pandas/numpy (rows with a NULL on
+   either side dropped). ``H(A,B)`` is symmetric, so one pair's joint
+   counts serve both directions.
+3. :func:`fd_candidates`: the reduction to candidates, with exactly
+   rounded sums (:func:`math.fsum`), so the result does not depend on
+   row order: mathematically tied candidates get bit-equal ratios and
+   are ordered by ``(lhs, rhs)``.
+
+``CocoonPipeline`` calls the parts itself: it builds the cube over the
+input table and folds the stage A cleaning into it before
+marginalizing. Each candidate carries its violating groups, which
+:func:`violating_groups` formats for the repair prompt without another
+Spark job.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 Groups = dict[str, list[tuple[str, int]]]
+#: a column pair's joint counts: (a value, b value, rows), no NULLs
+Joint = list[tuple[str, str, int]]
 
 #: a column with more distinct values is too near-unique to be an LHS
 #: and too high-cardinality to be an RHS
@@ -99,45 +112,81 @@ def _candidate(
     return None
 
 
-def discover_fds(
-    df: DataFrame,
-    columns: list[str],
-    *,
-    n_distinct: dict[str, int],
-    total: int,
-    max_violation_rate: float = 0.45,
-    exclude_lhs_values: frozenset[str] | None = None,
-) -> list[FDCandidate]:
-    """Find statistically strong FD candidates among ``columns``.
+def candidate_pairs(
+    columns: list[str], *, n_distinct: dict[str, int], total: int,
+) -> list[tuple[str, str]]:
+    """The unordered column pairs whose FDs are worth measuring.
 
     ``n_distinct`` (from the column profiles) prunes the pair lattice:
     a useful LHS groups rows (not near-unique) and a useful RHS is
-    low-cardinality enough to have a mode. Candidates are returned
-    strongest (lowest entropy ratio) first; exact FDs with no
-    violating group are dropped — there is nothing to clean.
+    low-cardinality enough to have a mode.
     """
     cand = [
         c for c in columns
         if 2 <= n_distinct.get(c, total) <= min(MAX_DISTINCT, int(total * 0.9))
     ]
-    pairs = [(a, b) for i, a in enumerate(cand) for b in cand[i + 1:]]
-    if not pairs:
-        return []
+    return [(a, b) for i, a in enumerate(cand) for b in cand[i + 1:]]
 
-    stack = ", ".join(
-        f"{k}, CAST({_quote(a)} AS STRING), CAST({_quote(b)} AS STRING)"
-        for k, (a, b) in enumerate(pairs))
-    counts = (
-        df.selectExpr(f"stack({len(pairs)}, {stack}) AS (pair, a, b)")
-        .where("a IS NOT NULL AND b IS NOT NULL")
-        .groupBy("pair", "a", "b").count()
+
+def value_cube(df: DataFrame,
+               columns: list[str]) -> tuple[pd.DataFrame, np.ndarray]:
+    """Every distinct combination of ``columns``' values and its rows.
+
+    One Spark ``groupBy`` collected through Arrow. Returns the
+    combinations (values cast to string, NULL as ``None``) as a pandas
+    frame with ``columns`` as its columns, and their row counts. The
+    Spark columns are named by position, so a data column called
+    ``count`` cannot collide with the count.
+    """
+    keys = [f"_{i}" for i in range(len(columns))]
+    cube = (
+        df.select(*[F.col(_quote(c)).cast("string").alias(k)
+                    for c, k in zip(columns, keys)])
+        .groupBy(*keys).count()
         .toPandas()
     )
-    joints: list[list[tuple[str, str, int]]] = [[] for _ in pairs]
-    for k, va, vb, c in zip(counts["pair"].tolist(), counts["a"].tolist(),
-                            counts["b"].tolist(), counts["count"].tolist()):
-        joints[k].append((va, vb, c))
+    return (cube[keys].set_axis(columns, axis=1),
+            cube["count"].to_numpy(dtype=np.int64))
 
+
+def pair_joints(cube: pd.DataFrame, rows: np.ndarray,
+                pairs: list[tuple[str, str]]) -> list[Joint]:
+    """Each pair's joint counts, marginalized from a value cube.
+
+    ``cube`` and ``rows`` are as :func:`value_cube` returns them. A cube
+    row with a NULL in either column of a pair is dropped from that
+    pair. Each column is factorized once; each pair is then one pandas
+    ``groupBy`` over integer codes.
+    """
+    codes = {c: pd.factorize(cube[c].to_numpy())
+             for c in dict.fromkeys(c for p in pairs for c in p)}
+    out: list[Joint] = []
+    for a, b in pairs:
+        (ca, ua), (cb, ub) = codes[a], codes[b]
+        keep = (ca >= 0) & (cb >= 0)
+        joint = (pd.Series(rows[keep])
+                 .groupby(ca[keep].astype(np.int64) * len(ub) + cb[keep])
+                 .sum())
+        key = joint.index.to_numpy()
+        out.append(list(zip(ua[key // len(ub)].tolist(),
+                            ub[key % len(ub)].tolist(),
+                            joint.tolist())))
+    return out
+
+
+def fd_candidates(
+    pairs: list[tuple[str, str]],
+    joints: list[Joint],
+    *,
+    max_violation_rate: float = 0.45,
+    exclude_lhs_values: frozenset[str] | None = None,
+) -> list[FDCandidate]:
+    """Both directions of every pair, reduced to FD candidates.
+
+    Candidates are returned strongest (lowest entropy ratio) first;
+    exact FDs with no violating group are dropped — there is nothing
+    to clean.
+    """
     out: list[FDCandidate] = []
     for (a, b), joint in zip(pairs, joints):
         for lhs, rhs, rows in ((a, b, joint),
@@ -149,6 +198,30 @@ def discover_fds(
                 out.append(fd)
     out.sort(key=lambda f: (f.entropy_ratio, f.lhs, f.rhs))
     return out
+
+
+def discover_fds(
+    df: DataFrame,
+    columns: list[str],
+    *,
+    n_distinct: dict[str, int],
+    total: int,
+    max_violation_rate: float = 0.45,
+    exclude_lhs_values: frozenset[str] | None = None,
+) -> list[FDCandidate]:
+    """Find statistically strong FD candidates among ``columns``.
+
+    :func:`candidate_pairs`, then :func:`value_cube` over their columns,
+    :func:`pair_joints` and :func:`fd_candidates`.
+    """
+    pairs = candidate_pairs(columns, n_distinct=n_distinct, total=total)
+    if not pairs:
+        return []
+    cube, rows = value_cube(df, list(dict.fromkeys(c for p in pairs
+                                                   for c in p)))
+    return fd_candidates(pairs, pair_joints(cube, rows, pairs),
+                         max_violation_rate=max_violation_rate,
+                         exclude_lhs_values=exclude_lhs_values)
 
 
 def violating_groups(cand: FDCandidate, *,

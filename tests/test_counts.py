@@ -1,5 +1,14 @@
 """Frequency-vector bookkeeping between pipeline steps."""
-from repro.core.counts import apply_mapping, remove_values
+import pandas as pd
+
+from repro.core import sql_emit
+from repro.core.counts import (
+    apply_mapping,
+    fold,
+    fold_cube,
+    remove_values,
+)
+from repro.profiling import fd
 
 
 def test_apply_mapping_merges_counts():
@@ -27,3 +36,52 @@ def test_remove_values():
 def test_remove_values_absent_noop():
     counts = (("a", 5),)
     assert remove_values(counts, ["zz"]) == counts
+
+
+def test_fold_is_one_lookup_per_layer():
+    # a CASE layer does not chain its own branches; later layers see
+    # the earlier layers' output
+    assert fold("a", [{"a": "b", "b": "c"}]) == "b"
+    assert fold("a", [{"a": "b"}, {"b": "c"}]) == "c"
+    assert fold("z", [{"a": "b"}]) == "z"
+
+
+def test_fold_null_stays_null():
+    maps = [{"N/A": None}, {"N/A": "x"}]
+    assert fold("N/A", maps) is None
+    assert fold(None, [{None: "x"}]) is None
+
+
+def test_fold_cube_of_no_rows():
+    cube = pd.DataFrame({"a": pd.Series([], dtype=object)})
+    assert len(fold_cube(cube, {"a": [{"x": "y"}]})) == 0
+
+
+def test_folded_joint_equals_sql_groupby(spark):
+    """A DMV-nulled value drops its row from the pair's joint counts,
+    and merged renderings add up, exactly as over the cleaning SQL."""
+    rows = [("35233", "Birmingham"), ("35233", "B'ham"), ("35233", "N/A"),
+            ("35233.0", "Birmingham"), ("10001", "N/A"), ("10001", None),
+            (None, "NYC"), ("10001", "NYC")]
+    df = spark.createDataFrame(rows, "zip string, city string")
+    df.createOrReplaceTempView("fold_src")
+    layers = [
+        sql_emit.Layer("l0", exprs={
+            "city": sql_emit.mapping_case("city", {"B'ham": "Birmingham"}),
+            "zip": sql_emit.mapping_case("zip", {"35233.0": "35233"})}),
+        sql_emit.Layer("l1", exprs={
+            "city": sql_emit.null_case("city", ["N/A"])}),
+    ]
+    maps = {"city": [{"B'ham": "Birmingham"}, {"N/A": None}],
+            "zip": [{"35233.0": "35233"}]}
+    want = {
+        (r["zip"], r["city"]): r["count"]
+        for r in spark.sql(sql_emit.build_sql("fold_src", layers,
+                                              ["zip", "city"]))
+        .dropna().groupBy("zip", "city").count().collect()
+    }
+    cube, n = fd.value_cube(df, ["zip", "city"])
+    (joint,) = fd.pair_joints(fold_cube(cube, maps), n, [("zip", "city")])
+    assert {(a, b): c for a, b, c in joint} == want == {
+        ("35233", "Birmingham"): 3, ("10001", "NYC"): 1}
+    spark.catalog.dropTempView("fold_src")

@@ -194,3 +194,80 @@ def test_discover_fds_leaves_catalog_unchanged(spark, fd_frame):
     discover_fds(df, ["zip", "city", "noise"],
                  n_distinct={"zip": 3, "city": 5, "noise": 7}, total=60)
     assert sorted(t.name for t in spark.catalog.listTables()) == before
+
+
+# ---------------------------------------------------------------------------
+# value cube + marginalization against the stack reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "name", ["hospital", "flights", "beers", "rayyan", "movies"])
+def test_discover_fds_matches_stack_reference(spark, name):
+    from repro.benchdata import load
+    from repro.profiling import profile_table
+    from tests.reference_stats import (
+        normalized_groups,
+        stack_discover_fds,
+        stack_joints,
+    )
+
+    df = load(name).spark_dirty(spark)
+    cols = [c for c in df.columns if c != "row_id"]
+    profs = profile_table(df, cols, top_k=0)
+    kw = dict(n_distinct={c: p.n_distinct for c, p in profs.items()},
+              total=profs[cols[0]].total)
+    pairs = fd.candidate_pairs(cols, **kw)
+    cube, rows = fd.value_cube(df, list(dict.fromkeys(
+        c for p in pairs for c in p)))
+    assert pairs and len(cube) <= df.count()
+    assert (_joint_dicts(fd.pair_joints(cube, rows, pairs))
+            == _joint_dicts(stack_joints(df, pairs)))
+    got = discover_fds(df, cols, **kw)
+    want = stack_discover_fds(df, cols, **kw)
+    assert got == want
+    assert ([normalized_groups(c) for c in got]
+            == [normalized_groups(c) for c in want])
+
+
+def _joint_dicts(joints):
+    return [{(a, b): n for a, b, n in j} for j in joints]
+
+
+def test_value_cube_column_named_count(spark):
+    from tests.reference_stats import stack_joints
+
+    df = spark.createDataFrame(
+        [("x", "1"), ("x", "1"), ("y", "2"), ("y", None)],
+        "count string, n string")
+    cube, rows = fd.value_cube(df, ["count", "n"])
+    assert list(cube.columns) == ["count", "n"]
+    assert sorted(zip(cube["count"], cube["n"].fillna("-"), rows)) == [
+        ("x", "1", 2), ("y", "-", 1), ("y", "2", 1)]
+    pairs = [("count", "n"), ("n", "count")]
+    assert (_joint_dicts(fd.pair_joints(cube, rows, pairs))
+            == _joint_dicts(stack_joints(df, pairs)))
+
+
+def test_pair_joints_drop_nulls_all_null_column_and_empty_pair(spark):
+    from tests.reference_stats import stack_joints
+
+    df = spark.createDataFrame(
+        [("a", None, "p"), ("a", None, None), ("b", None, "q"),
+         (None, None, "q")],
+        "x string, empty string, y string")
+    pairs = [("x", "y"), ("x", "empty"), ("empty", "y")]
+    cube, rows = fd.value_cube(df, ["x", "empty", "y"])
+    got = fd.pair_joints(cube, rows, pairs)
+    assert _joint_dicts(got) == _joint_dicts(stack_joints(df, pairs))
+    assert got[1:] == [[], []]
+    assert sorted(got[0]) == [("a", "p", 1), ("b", "q", 1)]
+    assert fd.fd_candidates(pairs, got) == []
+
+
+def test_value_cube_of_no_rows(spark):
+    df = spark.createDataFrame([], "x string, y string")
+    cube, rows = fd.value_cube(df, ["x", "y"])
+    assert len(cube) == len(rows) == 0
+    assert fd.pair_joints(cube, rows, [("x", "y")]) == [[]]
+    assert discover_fds(df, ["x", "y"], n_distinct={"x": 2, "y": 2},
+                        total=10) == []

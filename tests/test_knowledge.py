@@ -202,14 +202,6 @@ def test_is_date_string(v, ok):
     assert kb.is_date_string(v) is ok
 
 
-@pytest.mark.parametrize("v,ok", [
-    ("10:30 p.m.", True), ("7:05 a.m.", True), ("22:30", True),
-    ("10.30 pm", False),
-])
-def test_is_time_string(v, ok):
-    assert kb.is_time_string(v) is ok
-
-
 # ---------------------------------------------------------------------------
 # semantic domains
 # ---------------------------------------------------------------------------

@@ -186,3 +186,133 @@ def test_misplacement_swap(spark):
     out = rep.cleaned.toPandas().set_index("row_id")
     assert (out["language"] == "eng").all()
     assert (out["country"] == "USA").all()
+
+
+# ---------------------------------------------------------------------------
+# planning statistics: folded, counted once, deterministic
+# ---------------------------------------------------------------------------
+
+STAGE_A = {f"clean_{n}" for n in ("string_outliers", "pattern_outliers",
+                                  "dmv", "column_type", "numeric_outliers")}
+
+
+@pytest.mark.parametrize(
+    "name", ["hospital", "flights", "beers", "rayyan", "movies"])
+def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
+    """Stage B's folded joint counts equal a ``groupBy`` over the stage A
+    SQL, and stage C's duplicate surplus and unique ratios equal the
+    direct statistics of the stage B SQL."""
+    import repro.core.pipeline as pipeline
+    from repro.benchdata import load
+    from repro.core.sql_emit import build_sql
+    from repro.profiling import duplicate_rows, fd, profile_table
+    from tests import reference_stats
+
+    seen = {}
+
+    def capture(key, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            seen.setdefault(key, (args, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(fd, "pair_joints", capture("joints", fd.pair_joints))
+    monkeypatch.setattr(pipeline, "profile_rows",
+                        capture("rows", pipeline.profile_rows))
+
+    def build(view, layers, columns):
+        # the first statement built is stage C's: stage A and B layers
+        seen.setdefault("layers", list(layers))
+        return build_sql(view, layers, columns)
+
+    monkeypatch.setattr(pipeline, "build_sql", build)
+    df = load(name).spark_dirty(spark)
+    CocoonPipeline(SimulatedLLM()).clean(df, name)
+
+    all_cols = df.columns
+    cols = [c for c in all_cols if c != "row_id"]
+    (_, _, pairs), joints = seen["joints"]
+    (df_c, _), (profs, repeated) = seen["rows"]
+    stage_a = [l for l in seen["layers"] if l.name in STAGE_A]
+    df_a = spark.sql(build_sql(f"cocoon_{name}", stage_a, all_cols))
+    assert ([{(a, b): n for a, b, n in j} for j in joints]
+            == [{(a, b): n for a, b, n in j}
+                for j in reference_stats.stack_joints(df_a, pairs)])
+    assert ({c: p.unique_ratio for c, p in profs.items()}
+            == {c: p.unique_ratio for c, p in
+                profile_table(df_c, cols, top_k=0).items()})
+    assert (duplicate_rows(repeated, cols)[0]
+            == reference_stats.duplicate_rows(df_c, subset=cols)[0])
+
+
+def test_planning_runs_three_spark_actions_and_caches_only_the_input(
+        spark, monkeypatch):
+    """Stage A profile, stage B value cube, stage C row profile."""
+    from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
+
+    from repro.benchdata import load
+
+    df = load("movies").spark_dirty(spark)
+    actions, cached = [], []
+    for name in ("collect", "count", "toPandas", "toArrow", "take", "first",
+                 "head", "tail", "isEmpty", "show", "toLocalIterator",
+                 "foreach", "foreachPartition"):
+        def counted(self, *args, _name=name,
+                    _orig=getattr(ClassicDataFrame, name), **kwargs):
+            actions.append(_name)
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(ClassicDataFrame, name, counted)
+    for name in ("cache", "persist"):
+        def kept(self, *args, _orig=getattr(ClassicDataFrame, name),
+                 **kwargs):
+            cached.append(self)
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(ClassicDataFrame, name, kept)
+    CocoonPipeline(SimulatedLLM()).clean(df, "movies")
+    assert actions == ["toPandas"] * 3
+    assert cached and all(d is df for d in cached)
+
+
+def test_prompt_samples_do_not_depend_on_partitioning(spark):
+    """More than five tied duplicate rows and swapped value pairs: the
+    prompts show the same five, whatever order Spark scans rows in."""
+    class PromptLog(SimulatedLLM):
+        def __init__(self):
+            super().__init__()
+            self.prompts: list[str] = []
+
+        def review_duplication(self, *args):
+            out = super().review_duplication(*args)
+            self.prompts.append(out.prompt)
+            return out
+
+        def review_misplacement(self, *args):
+            out = super().review_misplacement(*args)
+            self.prompts.append(out.prompt)
+            return out
+
+    langs = ["eng", "fre", "ger", "spa"]
+    countries = ["USA", "France", "Germany", "Spain"]
+    rows = [(langs[i % 4], countries[i % 4], f"p{i}") for i in range(60)]
+    # eight swapped rows, each value pair once
+    rows += [(countries[i % 4], langs[(i + i // 4) % 4], f"s{i}")
+             for i in range(8)]
+    # seven rows duplicated twice
+    rows += [("eng", "USA", f"d{k}") for k in range(7) for _ in range(2)]
+    pdf = pd.DataFrame(rows, columns=["language", "country", "name"])
+    pdf.insert(0, "row_id", [str(i) for i in range(len(pdf))])
+    df = to_spark_strings(spark, pdf.astype(object))
+    logs = []
+    for n in (1, 7):
+        llm = PromptLog()
+        CocoonPipeline(llm).clean(df.repartition(n), "people")
+        logs.append(llm.prompts)
+    assert logs[0] == logs[1]
+    misplacement, duplication = logs[0]
+    assert "In 8 rows" in misplacement
+    assert ("[('eng', 'Spain'), ('eng', 'USA'), ('fre', 'France'), "
+            "('fre', 'USA'), ('ger', 'France')]") in misplacement
+    assert "contains 7 exactly duplicated rows" in duplication
+    assert [f"name='d{k}'" in duplication for k in range(7)] == [
+        True] * 5 + [False] * 2

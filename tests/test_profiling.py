@@ -6,7 +6,13 @@ from pyspark.sql import functions as F
 
 from repro.benchdata import load
 from repro.benchdata.base import to_spark_strings
-from repro.profiling import ColumnProfile, duplicate_rows, profile_table
+from repro.profiling import (
+    ColumnProfile,
+    duplicate_rows,
+    profile_rows,
+    profile_table,
+)
+from tests import reference_stats
 
 
 def _profile_column(df: DataFrame, column: str, *,
@@ -167,11 +173,63 @@ def test_duplicate_rows(spark):
         "b": ["1", "1", "2", "2"],
     })
     df = to_spark_strings(spark, pdf)
-    surplus, samples = duplicate_rows(df, subset=["a", "b"])
+    _, repeated = profile_rows(df, ["a", "b"])
+    surplus, samples = duplicate_rows(repeated, ["a", "b"])
     assert surplus == 1
-    assert len(samples) == 1 and "x" in samples[0]
-    no_dupes, _ = duplicate_rows(df)  # row_id makes rows unique
-    assert no_dupes == 0
+    assert samples == ["a='x', b='1' (x2)"]
+    _, repeated = profile_rows(df, df.columns)  # row_id makes rows unique
+    assert repeated == [] and duplicate_rows(repeated, df.columns) == (0, [])
+
+
+def _assert_rows_match_reference(df, cols):
+    """``profile_rows`` against per-column profiles and the ``groupBy``
+    duplicate count: unique ratios, surplus, and samples that are the
+    most repeated rows, ties ordered by key."""
+    profs, repeated = profile_rows(df, cols)
+    assert profs == profile_table(df, cols, top_k=0)
+    surplus, samples = duplicate_rows(repeated, cols)
+    want, _ = reference_stats.duplicate_rows(df, subset=cols)
+    _, every = reference_stats.duplicate_rows(df, subset=cols,
+                                              sample=len(repeated))
+    assert surplus == want
+    assert len(samples) == min(5, len(every)) and set(samples) <= set(every)
+    ranked = sorted(repeated, key=lambda kn: (-kn[1], kn[0]))
+    assert [s.rsplit(" (x", 1)[1] for s in samples] == [
+        f"{n})" for _, n in ranked[:5]]
+    return surplus
+
+
+@pytest.mark.parametrize(
+    "name", ["hospital", "flights", "beers", "rayyan", "movies"])
+def test_profile_rows_matches_reference_on_benchmarks(spark, name):
+    df = load(name).spark_dirty(spark)
+    _assert_rows_match_reference(df, [c for c in df.columns
+                                      if c != "row_id"])
+
+
+def test_profile_rows_matches_reference_with_duplicates(spark):
+    # 7 rows repeated twice (ties), one three times, NULLs inside keys,
+    # a column named like the count and one named like the row key
+    rows = [(f"v{i % 8}", None if i % 8 == 3 else "n", str(i % 2))
+            for i in range(16)] + [("v0", "n", "0")] + [
+        (f"u{i}", "n", "1") for i in range(4)]
+    df = spark.createDataFrame(rows, "count string, __row string, c string")
+    cols = ["count", "__row", "c"]
+    assert _assert_rows_match_reference(df, cols) == 9
+    _, samples = duplicate_rows(profile_rows(df, cols)[1], cols)
+    assert samples[:2] == ["count='v0', __row='n', c='0' (x3)",
+                           "count='v1', __row='n', c='1' (x2)"]
+    assert "count='v3', __row=None, c='1' (x2)" in duplicate_rows(
+        profile_rows(df, cols)[1], cols, sample=10)[1]
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([(None, "a"), (None, "a"), (None, "b")], id="all-null"),
+    pytest.param([], id="no-rows"),
+])
+def test_profile_rows_edge_cases(spark, rows):
+    df = spark.createDataFrame(rows, "v string, w string")
+    _assert_rows_match_reference(df, ["v", "w"])
 
 
 def test_unique_ratio(toy):

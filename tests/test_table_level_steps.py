@@ -1,29 +1,50 @@
 """Direct tests for the table-level core steps (duplication,
-misplacement) that need a Spark frame. Each returns a ``TableOutcome``:
-the finished SQL layers and the step reports the pipeline appends."""
-import pandas as pd
-import pytest
+misplacement) on the statistics the pipeline gives them: repeated rows
+and folded joint counts, built here from plain rows. Each returns a
+``TableOutcome``: the finished SQL layers and the step reports the
+pipeline appends."""
+import json
+from collections import Counter
 
-from repro.benchdata.base import to_spark_strings
 from repro.core import StepReport
 from repro.core.duplication import clean_duplication
-from repro.core.misplacement import _dominant_domain, clean_misplacement
+from repro.core.misplacement import (
+    _dominant_domain,
+    clean_misplacement,
+    domain_pairs,
+)
 from repro.llm import SimulatedLLM
 
 LLM = SimulatedLLM()
+
+
+def _repeated(rows, cols):
+    """``profile_rows``' repeated rows: (JSON row key, count > 1)."""
+    keys = Counter(json.dumps([r[c] for c in cols]) for r in rows)
+    return [(k, n) for k, n in keys.items() if n > 1]
+
+
+def _joints(rows, pairs):
+    """Each pair's joint counts ``(a value, b value, n)``."""
+    return {(p.a, p.b): [(va, vb, n) for (va, vb), n in
+                         Counter((r[p.a], r[p.b]) for r in rows).items()]
+            for p in pairs}
+
+
+def _misplacement(rows, counts, llm=LLM):
+    pairs = domain_pairs(counts)
+    return clean_misplacement(pairs, _joints(rows, pairs), llm)
 
 
 # ---------------------------------------------------------------------------
 # duplication (§2.1.7)
 # ---------------------------------------------------------------------------
 
-def test_duplication_detected_and_deduped(spark):
-    pdf = pd.DataFrame({
-        "row_id": ["0", "1", "2"],
-        "a": ["x", "x", "y"], "b": ["1", "1", "2"],
-    }).astype(object)
-    r = clean_duplication(to_spark_strings(spark, pdf), "orders",
-                          ["a", "b"], LLM)
+def test_duplication_detected_and_deduped():
+    rows = [{"a": "x", "b": "1"}, {"a": "x", "b": "1"},
+            {"a": "y", "b": "2"}]
+    r = clean_duplication("orders", ["a", "b"],
+                          _repeated(rows, ["a", "b"]), LLM)
     (layer,) = r.layers
     assert layer.kind == "window_dedupe"
     assert (layer.key_cols, layer.order_col) == (["a", "b"], "row_id")
@@ -32,24 +53,19 @@ def test_duplication_detected_and_deduped(spark):
                                   "1 surplus duplicate rows; removed"),)
 
 
-def test_duplication_acceptable_for_log_tables(spark):
-    pdf = pd.DataFrame({
-        "row_id": ["0", "1"],
-        "a": ["x", "x"], "b": ["1", "1"],
-    }).astype(object)
-    r = clean_duplication(to_spark_strings(spark, pdf), "sensor_log",
-                          ["a", "b"], LLM)
+def test_duplication_acceptable_for_log_tables():
+    rows = [{"a": "x", "b": "1"}, {"a": "x", "b": "1"}]
+    r = clean_duplication("sensor_log", ["a", "b"],
+                          _repeated(rows, ["a", "b"]), LLM)
     assert r.layers == ()
     assert r.steps == (StepReport("duplication", None, True,
                                   "1 surplus duplicate rows; acceptable"),)
 
 
-def test_duplication_none(spark):
-    pdf = pd.DataFrame({
-        "row_id": ["0", "1"], "a": ["x", "y"], "b": ["1", "1"],
-    }).astype(object)
+def test_duplication_none():
+    rows = [{"a": "x", "b": "1"}, {"a": "y", "b": "1"}]
     llm = SimulatedLLM()
-    r = clean_duplication(to_spark_strings(spark, pdf), "t", ["a", "b"], llm)
+    r = clean_duplication("t", ["a", "b"], _repeated(rows, ["a", "b"]), llm)
     assert r.layers == () and llm.calls == 0
     assert r.steps == (StepReport("duplication", None, False,
                                   "no duplicate rows"),)
@@ -78,19 +94,17 @@ def test_dominant_domain_mixed_no_purity():
     assert _dominant_domain(counts) is None
 
 
-def test_clean_misplacement_detects_swapped_pair(spark):
+def test_clean_misplacement_detects_swapped_pair():
     rows = [{"row_id": str(i),
              "language": "USA" if i < 5 else "eng",
              "country": "eng" if i < 5 else "USA",
              "other": "zzz"} for i in range(30)]
-    pdf = pd.DataFrame(rows).astype(object)
-    df = to_spark_strings(spark, pdf)
     counts = {
         "language": (("eng", 25), ("USA", 5)),
         "country": (("USA", 25), ("eng", 5)),
         "other": (("zzz", 30),),
     }
-    r = clean_misplacement(df, counts, LLM)
+    r = _misplacement(rows, counts)
     (layer,) = r.layers
     assert layer.kind == "project" and layer.name == "clean_misplacement_0"
     cond = "country IN ('eng') AND language IN ('USA')"
@@ -102,23 +116,22 @@ def test_clean_misplacement_detects_swapped_pair(spark):
                                   "swapped 5 misplaced value pairs"),)
 
 
-def test_clean_misplacement_requires_row_cooccurrence(spark):
+def test_clean_misplacement_requires_row_cooccurrence():
     # offending values never co-occur in the same row -> no swap
     rows = [{"row_id": str(i),
              "language": "USA" if i < 2 else "eng",
              "country": "eng" if i >= 28 else "USA"} for i in range(30)]
-    pdf = pd.DataFrame(rows).astype(object)
     counts = {
         "language": (("eng", 28), ("USA", 2)),
         "country": (("USA", 28), ("eng", 2)),
     }
-    r = clean_misplacement(to_spark_strings(spark, pdf), counts, LLM)
+    r = _misplacement(rows, counts)
     assert r.layers == ()
     assert r.steps == (StepReport("misplacement", None, False,
                                   "no misplaced columns"),)
 
 
-def test_clean_misplacement_skips_swap_sharing_a_column(spark):
+def test_clean_misplacement_skips_swap_sharing_a_column():
     # rows 0-4 swap language<->country, rows 5-9 swap country<->state:
     # both pairs are reviewed, only the first swap is emitted
     def row(i):
@@ -136,8 +149,7 @@ def test_clean_misplacement_skips_swap_sharing_a_column(spark):
         "state": (("Texas", 55), ("USA", 5)),
     }
     llm = SimulatedLLM()
-    r = clean_misplacement(to_spark_strings(spark, pd.DataFrame(rows)),
-                           counts, llm)
+    r = _misplacement(rows, counts, llm)
     assert llm.calls == 2
     (layer,) = r.layers
     assert set(layer.exprs) == {"country", "language"}
