@@ -6,8 +6,10 @@ constraints cover; Raha+Baran learns statistical detection/correction
 models helped by 20 ground-truth labeled cells; CleanAgent standardizes
 formats (which the benchmarks do not score as repairs); RetClean without
 lake tables degrades to conservative foundation-model typo fixes on
-long-text cells. All emit their repairs through the same portable-SQL
-layer machinery as Cocoon, so Spark executes every baseline too.
+long-text cells. Raha+Baran and RetClean emit their repairs through the
+same portable-SQL layers as Cocoon (``sql_emit.value_case`` and
+``build_sql``); HoloClean and CleanAgent use the DataFrame API. Spark
+executes all four.
 """
 from repro.baselines.cleanagent import cleanagent_clean
 from repro.baselines.holoclean import holoclean_clean

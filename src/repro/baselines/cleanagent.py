@@ -13,66 +13,70 @@ as its first 1000 rows).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-_PHONE = r"^\d{3}-\d{3}-\d{4}$"
-_ISO_DATE = r"^\d{4}-\d{2}-\d{2}$"
-_US_DATE = r"^\d{1,2}/\d{1,2}/\d{4}$"
-_CLOCK12 = r"^\d{1,2}:\d{2} (a\.m\.|p\.m\.)$"
+#: the share of a column's non-NULL values that must match a format for
+#: the column to be standardized
+MAJORITY = 0.6
 
 
-def _majority_matches(df: DataFrame, col: str, pattern: str,
-                      threshold: float = 0.6) -> bool:
-    row = df.agg(
-        F.avg(F.col(col).rlike(pattern).cast("double")).alias("frac")
-    ).collect()[0]
-    return (row["frac"] or 0.0) >= threshold
+def _phone(c: Column) -> Column:
+    return F.concat(F.lit("("), F.substring(c, 1, 3), F.lit(") "),
+                    F.substring(c, 5, 8))
 
 
-def cleanagent_clean(dirty: DataFrame, *, max_rows: int | None = None,
-                     row_id: str = "row_id") -> DataFrame:
-    df = dirty
-    scoped = df
-    rest = None
+def _iso_to_us(c: Column) -> Column:
+    return F.concat(F.substring(c, 6, 2), F.lit("/"), F.substring(c, 9, 2),
+                    F.lit("/"), F.substring(c, 1, 4))
+
+
+def _us_to_iso(c: Column) -> Column:
+    parts = F.split(c, "/")
+    return F.concat(parts.getItem(2), F.lit("-"),
+                    F.lpad(parts.getItem(0), 2, "0"), F.lit("-"),
+                    F.lpad(parts.getItem(1), 2, "0"))
+
+
+def _clock24(c: Column) -> Column:
+    hm = F.split(F.split(c, " ").getItem(0), ":")
+    h = hm.getItem(0).cast("int")
+    h24 = F.when(c.rlike(r"p\.m\.$"), (h % 12) + 12).otherwise(h % 12)
+    return F.concat(F.lpad(h24.cast("string"), 2, "0"), F.lit(":"),
+                    hm.getItem(1))
+
+
+#: recognized format -> its standardization, tried in this order
+FORMATS = {
+    r"^\d{3}-\d{3}-\d{4}$": _phone,
+    r"^\d{4}-\d{2}-\d{2}$": _iso_to_us,
+    r"^\d{1,2}/\d{1,2}/\d{4}$": _us_to_iso,
+    r"^\d{1,2}:\d{2} (a\.m\.|p\.m\.)$": _clock24,
+}
+
+
+def cleanagent_clean(dirty: DataFrame, *,
+                     max_rows: int | None = None) -> DataFrame:
+    """Standardize each column to the first format that ``MAJORITY`` of
+    its values match, all shares measured in one Spark job."""
+    scoped, rest = dirty, None
     if max_rows is not None:
-        in_scope = F.col(row_id).cast("long") < max_rows
-        scoped, rest = df.where(in_scope), df.where(~in_scope)
+        in_scope = F.col("row_id").cast("long") < max_rows
+        scoped, rest = dirty.where(in_scope), dirty.where(~in_scope)
 
-    for col in [c for c in df.columns if c != row_id]:
+    cols = [c for c in dirty.columns if c != "row_id"]
+    checks = [(col, fmt) for col in cols for fmt in FORMATS]
+    shares = scoped.agg(*[
+        F.avg(F.col(col).rlike(fmt).cast("double")).alias(f"s{k}")
+        for k, (col, fmt) in enumerate(checks)
+    ]).collect()[0] if checks else ()
+    chosen = {}
+    for (col, fmt), share in zip(checks, shares):
+        if col not in chosen and (share or 0.0) >= MAJORITY:
+            chosen[col] = fmt
+    for col, fmt in chosen.items():
         c = F.col(col)
-        if _majority_matches(scoped, col, _PHONE):
-            std = F.concat(
-                F.lit("("), F.substring(c, 1, 3), F.lit(") "),
-                F.substring(c, 5, 8),
-            )
-            scoped = scoped.withColumn(
-                col, F.when(c.rlike(_PHONE), std).otherwise(c))
-        elif _majority_matches(scoped, col, _ISO_DATE):
-            std = F.concat(
-                F.substring(c, 6, 2), F.lit("/"), F.substring(c, 9, 2),
-                F.lit("/"), F.substring(c, 1, 4),
-            )
-            scoped = scoped.withColumn(
-                col, F.when(c.rlike(_ISO_DATE), std).otherwise(c))
-        elif _majority_matches(scoped, col, _US_DATE):
-            parts = F.split(c, "/")
-            std = F.concat(
-                parts.getItem(2), F.lit("-"),
-                F.lpad(parts.getItem(0), 2, "0"), F.lit("-"),
-                F.lpad(parts.getItem(1), 2, "0"),
-            )
-            scoped = scoped.withColumn(
-                col, F.when(c.rlike(_US_DATE), std).otherwise(c))
-        elif _majority_matches(scoped, col, _CLOCK12):
-            hm = F.split(F.split(c, " ").getItem(0), ":")
-            h = hm.getItem(0).cast("int")
-            h24 = F.when(
-                c.rlike(r"p\.m\.$"), (h % 12) + 12
-            ).otherwise(h % 12)
-            std = F.concat(F.lpad(h24.cast("string"), 2, "0"), F.lit(":"),
-                           hm.getItem(1))
-            scoped = scoped.withColumn(
-                col, F.when(c.rlike(_CLOCK12), std).otherwise(c))
+        scoped = scoped.withColumn(
+            col, F.when(c.rlike(fmt), FORMATS[fmt](c)).otherwise(c))
 
     return scoped.unionByName(rest) if rest is not None else scoped

@@ -5,7 +5,7 @@ denial constraints and repairs them by probabilistic inference over
 candidate values. For single-attribute FD constraints — the form the
 paper supplies ground truth for — the MAP repair collapses to the
 group's posterior mode, applied when the mode is sufficiently probable
-(``tau``). The defining trait the paper measures is preserved: errors
+(``TAU``). The defining trait the paper measures is preserved: errors
 not expressible as constraint violations (unit inconsistency, format
 drift, open typos) are invisible to it.
 
@@ -18,14 +18,15 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+#: the smallest share of its group the mode needs to be applied
+TAU = 0.5
+
 
 def holoclean_clean(
     dirty: DataFrame,
     constraints: list[tuple[str, str]],
     *,
-    tau: float = 0.5,
     max_rows: int | None = None,
-    row_id: str = "row_id",
 ) -> DataFrame:
     """Repair FD-constraint violations to the group mode.
 
@@ -37,7 +38,7 @@ def holoclean_clean(
     scoped = df
     rest = None
     if max_rows is not None:
-        in_scope = F.col(row_id).cast("long") < max_rows
+        in_scope = F.col("row_id").cast("long") < max_rows
         scoped = df.where(in_scope)
         rest = df.where(~in_scope)
 
@@ -55,7 +56,7 @@ def holoclean_clean(
                 F.row_number().over(w.orderBy(F.desc("_cnt"), F.asc(rhs))),
             )
             .where(F.col("_rank") == 1)
-            .where(F.col("_cnt") / F.col("_total") >= tau)
+            .where(F.col("_cnt") / F.col("_total") >= TAU)
             .where(F.col("_cnt") < F.col("_total"))  # has violations
             .select(
                 F.col(lhs).alias("_lhs_v"),

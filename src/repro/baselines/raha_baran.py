@@ -39,6 +39,11 @@ from repro.llm import knowledge as kb
 from repro.profiling.column_profile import profile_table
 from repro.profiling.fd import discover_fds, violating_groups
 
+#: ground-truth cells labeled for the correction models (the paper's 20)
+N_LABELS = 20
+#: seed of the labeled-cell draw
+SEED = 7
+
 
 def _token_rules(labels: list[tuple[str, str]]) -> dict[str, str]:
     """Mine single-token rewrite rules from labeled (dirty, clean) pairs."""
@@ -59,16 +64,16 @@ def _apply_tokens(value: str, rules: dict[str, str]) -> str:
     return " ".join(rules.get(t, t) for t in value.split(" "))
 
 
-def raha_baran_clean(bench: Benchmark, dirty: DataFrame, *,
-                     n_labels: int = 20, seed: int = 7) -> DataFrame:
+def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
     """Clean ``dirty`` (the Spark view of ``bench.dirty``)."""
     spark = dirty.sparkSession
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     cols = [c for c in dirty.columns if c != "row_id"]
 
     # the 20 ground-truth labeled cells the paper grants this baseline
     mask = bench.mask.reset_index(drop=True)
-    picks = rng.choice(len(mask), size=min(n_labels, len(mask)), replace=False)
+    picks = rng.choice(len(mask), size=min(N_LABELS, len(mask)),
+                       replace=False)
     d_idx = bench.dirty.set_index("row_id")
     t_idx = bench.clean.set_index("row_id")
     labels: list[tuple[str, str, str, str]] = []  # row_id, col, dirty, clean
@@ -76,7 +81,7 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame, *,
         rid, col, _etype = mask.iloc[int(i)]
         labels.append((rid, col, d_idx.at[rid, col], t_idx.at[rid, col]))
 
-    profiles = profile_table(dirty, cols, top_k=5000)
+    profiles = profile_table(dirty, cols)
     layers: list[Layer] = []
 
     # --- value models: token rules per column -------------------------
@@ -92,7 +97,7 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame, *,
             if fixed != v:
                 mapping[v] = fixed
         if mapping:
-            value_layer.exprs[col] = sql_emit.mapping_case(col, mapping)
+            value_layer.exprs[col] = sql_emit.value_case(col, mapping)
             value_layer.comments.append(
                 f"{col}: token rules learned from labels: {rules}")
     if value_layer.exprs:
@@ -125,7 +130,7 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame, *,
                 if len(best) == 1:
                     mapping[v] = best[0][2]
         if mapping:
-            domain_layer.exprs[col] = sql_emit.mapping_case(col, mapping)
+            domain_layer.exprs[col] = sql_emit.value_case(col, mapping)
             domain_layer.comments.append(
                 f"{col}: {len(mapping)} rare values mapped to frequent "
                 "donors")

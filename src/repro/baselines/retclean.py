@@ -22,15 +22,10 @@ from repro.llm import knowledge as kb
 from repro.profiling.column_profile import profile_table
 
 
-def retclean_clean(dirty: DataFrame, *, lake_tables: list[DataFrame] | None = None,
-                   row_id: str = "row_id") -> DataFrame:
-    if lake_tables:
-        raise NotImplementedError(
-            "lake-table retrieval is out of scope: the paper's setup "
-            "provides no lake tables, so only the fallback path exists")
+def retclean_clean(dirty: DataFrame) -> DataFrame:
     spark = dirty.sparkSession
-    cols = [c for c in dirty.columns if c != row_id]
-    profiles = profile_table(dirty, cols, top_k=5000)
+    cols = [c for c in dirty.columns if c != "row_id"]
+    profiles = profile_table(dirty, cols)
     layer = Layer("retclean_fallback")
     for col in cols:
         prof = profiles[col]
@@ -47,7 +42,7 @@ def retclean_clean(dirty: DataFrame, *, lake_tables: list[DataFrame] | None = No
             if fixed is not None and fixed != v:
                 mapping[v] = fixed
         if mapping:
-            layer.exprs[col] = sql_emit.mapping_case(col, mapping)
+            layer.exprs[col] = sql_emit.value_case(col, mapping)
             layer.comments.append(
                 f"{col}: foundation-model spelling fixes on free text")
     view = "retclean_input"

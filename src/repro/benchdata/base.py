@@ -18,7 +18,6 @@ class ErrorType:
     DMV = "dmv"
     MISPLACEMENT = "misplacement"
 
-    ALL = (TYPO, FD, COLUMN_TYPE, INCONSISTENCY, DMV, MISPLACEMENT)
     #: excluded from Table 1 scoring (paper §3.1 "Evaluation"), counted
     #: again in Table 3 (Appendix B).
     TABLE1_EXCLUDED = (COLUMN_TYPE, DMV)
@@ -40,9 +39,6 @@ class Benchmark:
 
     def error_counts(self) -> dict[str, int]:
         return self.mask.groupby("error_type").size().to_dict()
-
-    def n_errors(self, exclude_types: tuple[str, ...] = ()) -> int:
-        return int((~self.mask["error_type"].isin(exclude_types)).sum())
 
     def spark_dirty(self, spark: SparkSession) -> DataFrame:
         return to_spark_strings(spark, self.dirty)

@@ -33,4 +33,4 @@ def clean_column_type(
         return ColumnOutcome(False, f"type {s.target_type}, no rewrite needed")
     return ColumnOutcome(
         True, f"cast to {s.target_type} ({len(s.mapping)} values rewritten)",
-        f"CAST AS {s.target_type} -- {s.reasoning}", mapping=s.mapping)
+        f"CAST AS {s.target_type} -- {s.reasoning}", values=s.mapping)

@@ -2,15 +2,15 @@
 
 The pipeline profiles each column once with Spark, then threads the
 (value, count) vector through the per-column steps, folding each step's
-mapping into it — §2.1's ordering constraint ("only after typos are
-fixed can we detect the patterns") is implemented by these updates, not
-by re-scanning the table after every step.
+value map into it (:func:`fold_counts`) — §2.1's ordering constraint
+("only after typos are fixed can we detect the patterns") is
+implemented by these updates, not by re-scanning the table after every
+step.
 
 Table-level statistics are folded the same way: each column's stage A
-steps are recorded as value maps in layer order (a value mapped to
-``None`` is nulled), and :func:`fold_cube` passes a value cube of the
-input through them, which gives the cube of the column-cleaned table
-without evaluating its SQL.
+value maps are kept in layer order, and :func:`fold_cube` passes a
+value cube of the input through them, which gives the cube of the
+column-cleaned table without evaluating its SQL.
 """
 from __future__ import annotations
 
@@ -18,24 +18,20 @@ import numpy as np
 import pandas as pd
 
 Counts = tuple[tuple[str, int], ...]
-#: one cleaning layer of one column: value -> new value, or -> None
+#: one step's decision for one column, and the SQL layer that applies
+#: it: value -> new value, or -> None to null it
 ValueMap = dict[str, str | None]
 
 
-def apply_mapping(counts: Counts, mapping: dict[str, str]) -> Counts:
-    """Fold a value->value cleaning map into a frequency vector."""
-    if not mapping:
-        return counts
+def fold_counts(counts: Counts, values: ValueMap) -> Counts:
+    """A frequency vector after one cleaning layer: rewritten values
+    merge their counts, values mapped to ``None`` drop out."""
     merged: dict[str, int] = {}
     for v, c in counts:
-        merged[mapping.get(v, v)] = merged.get(mapping.get(v, v), 0) + c
+        w = fold(v, [values])
+        if w is not None:
+            merged[w] = merged.get(w, 0) + c
     return tuple(sorted(merged.items(), key=lambda vc: (-vc[1], vc[0])))
-
-
-def remove_values(counts: Counts, values: list[str] | tuple[str, ...]) -> Counts:
-    """Drop values (e.g. ones nulled as DMVs) from a frequency vector."""
-    drop = set(values)
-    return tuple((v, c) for v, c in counts if v not in drop)
 
 
 def fold(value: str | None, maps: list[ValueMap]) -> str | None:

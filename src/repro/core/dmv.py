@@ -13,9 +13,9 @@ from repro.llm.client import LLMClient, ValueCounts
 def clean_dmv(column: str, counts: ValueCounts,
               llm: LLMClient) -> ColumnOutcome:
     review = llm.review_dmv(column, list(counts))
-    values = review.dmv_values
-    if not values:
+    dmv = review.dmv_values
+    if not dmv:
         return ColumnOutcome(False, "no disguised missing values")
     return ColumnOutcome(
-        True, f"nulled disguised missing values {list(values)!r}",
-        review.reasoning, nulled=values)
+        True, f"nulled disguised missing values {list(dmv)!r}",
+        review.reasoning, values=dict.fromkeys(dmv))

@@ -2,8 +2,8 @@
 
 Statistics capture the numeric envelope (min/max); the LLM reviews the
 semantically acceptable range for the column. Values outside the range
-are nulled with a ``CASE WHEN`` threshold clause. Runs after the type
-step (§2.1's ordering), so values are canonical numeric renderings.
+are set to NULL by a ``CASE WHEN`` layer. Runs after the type step
+(§2.1's ordering), so values are canonical numeric renderings.
 """
 from __future__ import annotations
 
@@ -47,4 +47,4 @@ def clean_numeric_outliers(
     if not review.has_range or not out:
         return _NONE
     return ColumnOutcome(True, f"nulled out-of-range values {out!r}",
-                         review.reasoning, nulled=tuple(out))
+                         review.reasoning, values=dict.fromkeys(out))

@@ -1,9 +1,9 @@
 """The result types of the cleaning steps (§2.1).
 
 Each per-column ``clean_*`` function (§2.1.1-§2.1.5) returns a
-:class:`ColumnOutcome`; ``CocoonPipeline.clean`` is the only place that
-turns one into a SQL layer expression and folds it into the column's
-frequency vector. Each table-level step (misplacement, FDs, duplication,
+:class:`ColumnOutcome`, whose value map ``CocoonPipeline.clean`` renders
+as a SQL layer expression and folds into the column's frequency
+vector. Each table-level step (misplacement, FDs, duplication,
 uniqueness) returns a :class:`TableOutcome`: its finished SQL layers and
 its audit entries, which the pipeline appends as they are.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.counts import ValueMap
 from repro.core.sql_emit import Layer
 
 #: the surrogate key; excluded from row identity, orders dedupe windows
@@ -31,8 +32,8 @@ class StepReport:
 class ColumnOutcome:
     """What one step decided for one column.
 
-    ``mapping`` rewrites values (value -> value); ``nulled`` lists values
-    set to NULL. A step fills at most one of them.
+    ``values`` maps each value the step rewrites to its new value, or to
+    ``None`` to null it; empty when the step changes nothing.
     """
 
     detected: bool
@@ -40,8 +41,7 @@ class ColumnOutcome:
     summary: str
     #: the LLM reasoning that goes into the SQL layer's comment
     comment: str = ""
-    mapping: dict[str, str] = field(default_factory=dict)
-    nulled: tuple[str, ...] = ()
+    values: ValueMap = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -21,4 +21,4 @@ def clean_pattern_outliers(column: str, counts: ValueCounts,
         return ColumnOutcome(False, "patterns consistent")
     return ColumnOutcome(
         True, f"normalized {len(review.mapping)} values to the dominant "
-        "pattern", review.reasoning, mapping=review.mapping)
+        "pattern", review.reasoning, values=review.mapping)

@@ -4,10 +4,10 @@
 dimensions. Per column, it runs a five-entry step table in the
 §2.1-mandated order: string outliers -> pattern outliers -> disguised
 missing values -> column type -> numeric outliers. Every entry returns
-a :class:`~repro.core.outcome.ColumnOutcome` (values to rewrite or to
-null, plus summary and reasoning); one loop turns each outcome into a
-commented SQL layer, folds it into the column's frequency vector and
-records it as the column's next value map. Then table-level:
+a :class:`~repro.core.outcome.ColumnOutcome` (one value map, plus
+summary and reasoning); one loop renders each value map as a commented
+SQL layer, folds it into the column's frequency vector and keeps it as
+the column's next value map. Then table-level:
 misplacement -> functional dependencies over the column-cleaned data,
 then duplication -> column uniqueness over the repaired data. Each of
 these returns a :class:`~repro.core.outcome.TableOutcome` (its finished
@@ -51,11 +51,7 @@ from repro.core.string_outliers import clean_string_outliers
 from repro.core.uniqueness import clean_uniqueness
 from repro.llm.client import LLMClient
 from repro.profiling import fd
-from repro.profiling.column_profile import profile_rows, profile_table
-
-#: top values profiled per column; a column with more distinct values
-#: skips the steps that need an exhaustive value list
-MAX_DISTINCT = 5000
+from repro.profiling.column_profile import TOP_K, profile_rows, profile_table
 
 
 @dataclass
@@ -99,7 +95,7 @@ class CocoonPipeline:
         counts_by_col: dict[str, tuple[tuple[str, int], ...]] = {}
         maps: dict[str, list[counts_util.ValueMap]] = {c: [] for c in cols}
         covered: dict[str, bool] = {}
-        profiles = profile_table(df, cols, top_k=MAX_DISTINCT)
+        profiles = profile_table(df, cols)
         total = profiles[cols[0]].total
 
         for c in cols:
@@ -117,18 +113,13 @@ class CocoonPipeline:
                 out = step(c, counts, self.llm, **kwargs)
                 report.steps.append(
                     StepReport(name, c, out.detected, out.summary))
-                layer = step_layers[name]
-                if out.mapping:
-                    layer.exprs[c] = sql_emit.mapping_case(c, out.mapping)
-                    counts = counts_util.apply_mapping(counts, out.mapping)
-                    maps[c].append(out.mapping)
-                elif out.nulled:
-                    layer.exprs[c] = sql_emit.null_case(c, list(out.nulled))
-                    counts = counts_util.remove_values(counts, out.nulled)
-                    maps[c].append(dict.fromkeys(out.nulled))
-                else:
+                if not out.values:
                     continue
+                layer = step_layers[name]
+                layer.exprs[c] = sql_emit.value_case(c, out.values)
                 layer.comments.append(f"{c}: {out.comment}")
+                counts = counts_util.fold_counts(counts, out.values)
+                maps[c].append(out.values)
             counts_by_col[c] = counts
 
         layers = [l for l in step_layers.values() if l.exprs]
@@ -139,7 +130,7 @@ class CocoonPipeline:
         # and FD group repairs would otherwise overwrite the swap
         # evidence in the repaired column.
         n_distinct = {
-            c: (len(counts_by_col[c]) if covered[c] else MAX_DISTINCT + 1)
+            c: (len(counts_by_col[c]) if covered[c] else TOP_K + 1)
             for c in cols
         }
         fd_pairs = fd.candidate_pairs(cols, n_distinct=n_distinct,

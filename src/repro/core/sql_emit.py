@@ -14,6 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from repro.core.counts import ValueMap
+
 _IDENT_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
 
@@ -37,27 +39,26 @@ def sql_str(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-def mapping_case(column: str, mapping: dict[str, str]) -> str:
-    """``CASE WHEN col = 'bad' THEN 'good' ... ELSE col END``."""
+def value_case(column: str, values: ValueMap) -> str:
+    """``CASE WHEN col IN (...) THEN NULL ELSE col END`` for a map that
+    only nulls (§2.1.3), else ``CASE WHEN col = 'bad' THEN 'good' ...
+    ELSE col END`` (Fig. 3)."""
     c = safe_ident(column)
+    if all(new is None for new in values.values()):
+        lst = ", ".join(sql_str(v) for v in sorted(values))
+        return f"CASE WHEN {c} IN ({lst}) THEN NULL ELSE {c} END"
     whens = "\n        ".join(
-        f"WHEN {c} = {sql_str(bad)} THEN {sql_str(good)}"
-        for bad, good in sorted(mapping.items())
+        f"WHEN {c} = {sql_str(old)} THEN "
+        + ("NULL" if new is None else sql_str(new))
+        for old, new in sorted(values.items())
     )
     return f"CASE {whens}\n        ELSE {c} END"
-
-
-def null_case(column: str, values: list[str]) -> str:
-    """``CASE WHEN col IN (...) THEN NULL ELSE col END`` (§2.1.3)."""
-    c = safe_ident(column)
-    lst = ", ".join(sql_str(v) for v in sorted(values))
-    return f"CASE WHEN {c} IN ({lst}) THEN NULL ELSE {c} END"
 
 
 def fd_repair_case(lhs: str, rhs: str, mapping: dict[str, str]) -> str:
     """Rewrite the RHS of every repaired FD group to its true value."""
     l, r = safe_ident(lhs), safe_ident(rhs)
-    # "AND r IS NOT NULL" preserves NULLs (e.g. DMV-nulled cells) inside
+    # "AND r IS NOT NULL" preserves NULLs (e.g. from the DMV layer) inside
     # repaired groups — the FD fixes wrong values, it does not impute.
     whens = "\n        ".join(
         f"WHEN {l} = {sql_str(k)} AND {r} IS NOT NULL THEN {sql_str(v)}"

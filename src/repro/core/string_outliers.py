@@ -61,4 +61,4 @@ def clean_string_outliers(
     if not mapping:
         return ColumnOutcome(False, "no string outliers")
     return ColumnOutcome(True, f"mapped {len(mapping)} values",
-                         reasoning, mapping=mapping)
+                         reasoning, values=mapping)

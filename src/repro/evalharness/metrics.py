@@ -44,12 +44,11 @@ class RepairMetrics:
         return (self.precision, self.recall, self.f1)
 
 
-def cells(df: DataFrame, value_name: str = "value",
-          row_id: str = "row_id") -> DataFrame:
+def cells(df: DataFrame, value_name: str = "value") -> DataFrame:
     """Melt a wide table into (row_id, column, value) cells."""
-    value_cols = [c for c in df.columns if c != row_id]
+    value_cols = [c for c in df.columns if c != "row_id"]
     return df.unpivot(
-        ids=[row_id], values=value_cols,
+        ids=["row_id"], values=value_cols,
         variableColumnName="column", valueColumnName=value_name,
     )
 

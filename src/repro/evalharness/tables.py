@@ -105,7 +105,6 @@ def run_system(system: str, bench: Benchmark, dirty: DataFrame) -> DataFrame:
 def _score_all(
     spark: SparkSession,
     datasets: tuple[str, ...],
-    systems: tuple[str, ...],
     exclude_types: tuple[str, ...],
     paper: dict[tuple[str, str], tuple[float, float, float]],
 ) -> pd.DataFrame:
@@ -115,7 +114,7 @@ def _score_all(
         dirty = bench.spark_dirty(spark).cache()
         truth = bench.spark_clean(spark)
         mask = bench.spark_mask(spark)
-        for system in systems:
+        for system in SYSTEMS:
             cleaned = run_system(system, bench, dirty)
             m = repair_metrics(dirty, cleaned, truth, mask,
                                exclude_types=exclude_types)
@@ -132,12 +131,11 @@ def _score_all(
 
 
 def run_table1(spark: SparkSession,
-               datasets: tuple[str, ...] = DATASETS,
-               systems: tuple[str, ...] = SYSTEMS) -> pd.DataFrame:
+               datasets: tuple[str, ...] = DATASETS) -> pd.DataFrame:
     """Table 1: P/R/F per system per benchmark, paper scoring convention
     (column-type and DMV cells excluded)."""
-    return _score_all(spark, datasets, systems,
-                      ErrorType.TABLE1_EXCLUDED, PAPER_TABLE1)
+    return _score_all(spark, datasets, ErrorType.TABLE1_EXCLUDED,
+                      PAPER_TABLE1)
 
 
 def run_table2() -> pd.DataFrame:
@@ -159,10 +157,10 @@ def run_table2() -> pd.DataFrame:
 
 
 def run_table3(spark: SparkSession,
-               datasets: tuple[str, ...] = ("hospital", "movies"),
-               systems: tuple[str, ...] = SYSTEMS) -> pd.DataFrame:
+               datasets: tuple[str, ...] = ("hospital", "movies")
+               ) -> pd.DataFrame:
     """Table 3 (Appendix B): column-type and DMV errors are scored."""
-    return _score_all(spark, datasets, systems, (), PAPER_TABLE3)
+    return _score_all(spark, datasets, (), PAPER_TABLE3)
 
 
 def format_table(df: pd.DataFrame, title: str) -> str:

@@ -203,6 +203,8 @@ def digit_only_diff(a: str, b: str) -> bool:
 
 
 _WORD_RE = re.compile(r"[A-Za-z]+")
+#: the most edits :func:`fix_words` repairs in one word
+MAX_EDITS = 1
 
 #: Dictionary bucketed by word length for cheap candidate pre-filtering.
 _DICT_BY_LEN: dict[int, tuple[str, ...]] = {}
@@ -211,34 +213,34 @@ for _w in DICTIONARY_WORDS:
     _DICT_BY_LEN[len(_w)] += (_w,)
 
 
-def _dict_candidates(word: str, max_dist: int) -> list[str]:
+def _dict_candidates(word: str) -> list[str]:
     out: list[str] = []
-    for ln in range(len(word) - max_dist, len(word) + max_dist + 1):
+    for ln in range(len(word) - MAX_EDITS, len(word) + MAX_EDITS + 1):
         out.extend(_DICT_BY_LEN.get(ln, ()))
     return out
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _dictionary_fix(word: str, max_dist: int) -> str | None:
+def _dictionary_fix(word: str) -> str | None:
     """The repair of lower-cased ``word``, or ``None`` to keep it.
 
     Dictionary words (plural-aware: "hospitals"/"outcomes" are fine) and
-    words with no unique neighbour within ``max_dist`` edits are kept.
+    words with no unique neighbour within ``MAX_EDITS`` edits are kept.
     """
     if word in DICTIONARY or word.removesuffix("s") in DICTIONARY:
         return None
-    hits = [d for d in _dict_candidates(word, max_dist)
-            if edit_distance(word, d, cap=max_dist + 1) <= max_dist]
+    hits = [d for d in _dict_candidates(word)
+            if edit_distance(word, d, cap=MAX_EDITS + 1) <= MAX_EDITS]
     same_first = [h for h in hits if h[0] == word[0]]
     pool = same_first or hits
     return pool[0] if len(set(pool)) == 1 else None
 
 
-def fix_words(text: str, *, max_dist: int = 1) -> str | None:
+def fix_words(text: str) -> str | None:
     """Dictionary-based word-level typo repair.
 
     Each alphabetic token not in :data:`DICTIONARY` is replaced by its
-    unique dictionary neighbour within ``max_dist`` edits (same first
+    unique dictionary neighbour within ``MAX_EDITS`` edits (same first
     letter preferred, as humans rarely mistype the first letter). Returns
     the repaired string, or ``None`` when nothing needed fixing or a
     token had no unambiguous repair.
@@ -252,7 +254,7 @@ def fix_words(text: str, *, max_dist: int = 1) -> str | None:
             return w
         if m.end() < len(text) and text[m.end()] == ".":
             return w  # abbreviation ("Card." in "Am. J. Card. Surg.")
-        fixed = _dictionary_fix(w.lower(), max_dist)
+        fixed = _dictionary_fix(w.lower())
         if fixed is None:
             return w
         changed = True

@@ -28,6 +28,12 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+#: top values kept per column; a column with more distinct values skips
+#: the cleaning steps that need an exhaustive value list
+TOP_K = 5000
+#: sample renderings :func:`duplicate_rows` returns
+SAMPLE_ROWS = 5
+
 
 @dataclass(frozen=True)
 class ColumnProfile:
@@ -89,14 +95,14 @@ def _profiles(counts: pd.DataFrame, columns: list[str],
     }
 
 
-def profile_table(df: DataFrame, columns: list[str], *,
-                  top_k: int = 1000) -> dict[str, ColumnProfile]:
+def profile_table(df: DataFrame,
+                  columns: list[str]) -> dict[str, ColumnProfile]:
     """Profile many string columns in one Spark job.
 
     The driver receives one row per distinct (column, value), NULL
     included, and derives each profile from them.
     """
-    return _profiles(_cell_counts(df, columns).toPandas(), columns, top_k)
+    return _profiles(_cell_counts(df, columns).toPandas(), columns, TOP_K)
 
 
 def profile_rows(
@@ -126,20 +132,21 @@ def profile_rows(
             list(zip(rows["__val"].tolist(), rows["count"].tolist())))
 
 
-def duplicate_rows(repeated: list[tuple[str, int]], columns: list[str], *,
-                   sample: int = 5) -> tuple[int, list[str]]:
+def duplicate_rows(repeated: list[tuple[str, int]],
+                   columns: list[str]) -> tuple[int, list[str]]:
     """Surplus duplicated rows, plus sample renderings.
 
     ``repeated`` is :func:`profile_rows`'s ``(key, count)`` list over
     ``columns``. A row appearing ``k`` times contributes ``k - 1``
     surplus rows — the number ``SELECT DISTINCT`` would remove. The
-    samples are the ``sample`` most repeated rows, ties ordered by key.
+    samples are the ``SAMPLE_ROWS`` most repeated rows, ties ordered by
+    key.
     """
     surplus = sum(n - 1 for _, n in repeated)
     examples = [
         ", ".join(f"{c}={v!r}" for c, v in zip(columns, json.loads(key)))
         + f" (x{n})"
-        for key, n in heapq.nsmallest(sample, repeated,
+        for key, n in heapq.nsmallest(SAMPLE_ROWS, repeated,
                                       key=lambda kn: (-kn[1], kn[0]))
     ]
     return surplus, examples

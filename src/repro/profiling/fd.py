@@ -46,6 +46,8 @@ Joint = list[tuple[str, str, int]]
 MAX_DISTINCT = 1000
 #: the largest H(B|A) / H(B) of a candidate
 MAX_ENTROPY_RATIO = 0.35
+#: violating groups :func:`violating_groups` returns per candidate
+MAX_GROUPS = 500
 
 
 @dataclass(frozen=True)
@@ -224,13 +226,12 @@ def discover_fds(
                          exclude_lhs_values=exclude_lhs_values)
 
 
-def violating_groups(cand: FDCandidate, *,
-                     max_groups: int = 500) -> Groups:
+def violating_groups(cand: FDCandidate) -> Groups:
     """RHS value distribution of every LHS group violating ``cand``.
 
     Returns ``{lhs_value: [(rhs_value, count), ...]}`` ordered by LHS
     value, counts descending with a deterministic tie-break on value,
-    and at most ``max_groups`` groups — the exact structure the §2.1.6
+    and at most ``MAX_GROUPS`` groups — the exact structure the §2.1.6
     repair prompt shows the LLM. The groups are the ones
     :func:`discover_fds` found, so LHS values it excluded stay out.
     """
@@ -238,6 +239,6 @@ def violating_groups(cand: FDCandidate, *,
         k: sorted(v, key=lambda vc: (-vc[1], vc[0]))
         for k, v in sorted(cand.groups.items())
     }
-    if len(out) > max_groups:
-        out = dict(list(out.items())[:max_groups])
+    if len(out) > MAX_GROUPS:
+        out = dict(list(out.items())[:MAX_GROUPS])
     return out

@@ -8,6 +8,7 @@ from repro.baselines import (
     raha_baran_clean,
     retclean_clean,
 )
+from repro.baselines import raha_baran
 from repro.baselines.holoclean import CONSTRAINTS
 from repro.benchdata import load
 from repro.benchdata.base import Benchmark, to_spark_strings
@@ -47,8 +48,8 @@ def test_holoclean_tau_blocks_weak_majorities(spark):
         "t": ["10:30"] * 5 + ["10:31"] * 4 + ["10:28"] * 2 + ["10:39"] * 1,
     }).astype(object)
     df = to_spark_strings(spark, pdf)
-    out = holoclean_clean(df, [("flight", "t")], tau=0.5).toPandas()
-    assert sorted(out["t"]) == sorted(pdf["t"])  # 5/12 < tau: untouched
+    out = holoclean_clean(df, [("flight", "t")]).toPandas()
+    assert sorted(out["t"]) == sorted(pdf["t"])  # 5/12 < TAU: untouched
 
 
 def test_holoclean_preserves_nulls(spark):
@@ -118,7 +119,7 @@ def test_raha_baran_models(spark):
     assert set(out["flag"]) == {"True", "False"}
 
 
-def test_raha_baran_cannot_fix_open_vocabulary_typos(spark):
+def test_raha_baran_cannot_fix_open_vocabulary_typos(spark, monkeypatch):
     """The Rayyan trait: unique texts have no donor and no rule."""
     rows = [{"row_id": str(i), "title": f"unique text number {i}",
              "k": "a" if i % 2 else "b"} for i in range(30)]
@@ -128,9 +129,10 @@ def test_raha_baran_cannot_fix_open_vocabulary_typos(spark):
     mask = pd.DataFrame([("0", "title", "typo")],
                         columns=["row_id", "column", "error_type"])
     b = Benchmark(name="texts", dirty=dirty, clean=truth, mask=mask)
-    # n_labels=0: without a labeled example of this exact typo there is
+    # no labels: without a labeled example of this exact typo there is
     # no rule, no donor (every title is unique) and no FD group
-    out = (raha_baran_clean(b, to_spark_strings(spark, b.dirty), n_labels=0)
+    monkeypatch.setattr(raha_baran, "N_LABELS", 0)
+    out = (raha_baran_clean(b, to_spark_strings(spark, b.dirty))
            .toPandas().set_index("row_id"))
     assert out.at["0", "title"] == "unqiue text number 0"  # unfixed
 
@@ -177,6 +179,33 @@ def test_cleanagent_standardizes_clock_times(spark):
     assert set(out["t"]) == {"07:10", "22:30", "12:05"}
 
 
+def test_cleanagent_measures_every_column_in_one_job(spark, monkeypatch):
+    """One ``collect`` decides all columns, and scoping by ``max_rows``
+    measures only the rows in scope."""
+    from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
+
+    collects = []
+    orig = ClassicDataFrame.collect
+
+    def counted(self):
+        collects.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(ClassicDataFrame, "collect", counted)
+    pdf = pd.DataFrame({
+        "row_id": ["0", "1", "2"],
+        "phone": ["205-555-0134", "212-555-9999", "n/a"],
+        "t": ["7:10 a.m.", "x", "y"],
+        "city": ["Birmingham", "Boston", "Boaz"],
+    }).astype(object)
+    cleaned = cleanagent_clean(to_spark_strings(spark, pdf), max_rows=2)
+    assert len(collects) == 1
+    out = cleaned.toPandas().set_index("row_id")
+    assert list(out.loc[["0", "1", "2"], "phone"]) == [
+        "(205) 555-0134", "(212) 555-9999", "n/a"]
+    assert list(out.loc[["0", "1", "2"], "t"]) == ["7:10 a.m.", "x", "y"]
+
+
 def test_cleanagent_leaves_plain_text_alone(spark):
     pdf = pd.DataFrame({
         "row_id": ["0", "1"],
@@ -212,9 +241,3 @@ def test_retclean_ignores_categorical_columns(spark):
     out = retclean_clean(to_spark_strings(spark, pdf)).toPandas()
     assert "Amber Alex" in set(out["style"])
 
-
-def test_retclean_rejects_lake_tables(spark):
-    pdf = pd.DataFrame({"row_id": ["0"], "a": ["x"]}).astype(object)
-    df = to_spark_strings(spark, pdf)
-    with pytest.raises(NotImplementedError):
-        retclean_clean(df, lake_tables=[df])

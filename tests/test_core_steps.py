@@ -21,7 +21,7 @@ def test_string_outliers_basic():
     llm = SimulatedLLM()
     counts = [("eng", 400), ("English", 90)]
     r = clean_string_outliers("lang", counts, llm)
-    assert r.detected and r.mapping == {"English": "eng"}
+    assert r.detected and r.values == {"English": "eng"}
     assert r.summary == "mapped 1 values" and r.comment
     assert llm.calls == 2  # detection + cleaning prompts
 
@@ -29,7 +29,7 @@ def test_string_outliers_basic():
 def test_string_outliers_clean_column():
     llm = SimulatedLLM()
     r = clean_string_outliers("lang", [("eng", 400), ("fre", 90)], llm)
-    assert not r.detected and not r.mapping and llm.calls == 1
+    assert not r.detected and not r.values and llm.calls == 1
 
 
 def test_string_outliers_batching_uses_global_context():
@@ -37,7 +37,7 @@ def test_string_outliers_batching_uses_global_context():
     counts = [("Birmingham", 500)] + [(f"city{i:04d}", 2) for i in range(999)]
     counts += [("Birminghxm", 1)]
     r = clean_string_outliers("city", counts, LLM)
-    assert r.mapping == {"Birminghxm": "Birmingham"}
+    assert r.values == {"Birminghxm": "Birmingham"}
 
 
 def test_string_outliers_batch_count():
@@ -61,7 +61,7 @@ def test_string_outliers_chain_collapse():
             return r
 
     r = clean_string_outliers("c", [("a", 1), ("b", 2), ("c", 90)], ChainLLM())
-    assert r.mapping == {"a": "c", "b": "c"}
+    assert r.values == {"a": "c", "b": "c"}
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +71,17 @@ def test_string_outliers_chain_collapse():
 def test_pattern_outliers_step():
     r = clean_pattern_outliers(
         "t", [("7:10 a.m.", 11), ("7:10 a.m.x", 1)], LLM)
-    assert r.detected and r.mapping == {"7:10 a.m.x": "7:10 a.m."}
+    assert r.detected and r.values == {"7:10 a.m.x": "7:10 a.m."}
 
 
 def test_dmv_step():
     r = clean_dmv("county", [("Jefferson", 9), ("N/A", 1)], LLM)
-    assert r.detected and r.nulled == ("N/A",) and not r.mapping
+    assert r.detected and r.values == {"N/A": None}
 
 
 def test_column_type_step():
     r = clean_column_type("flag", [("yes", 6), ("no", 4)], LLM, n_distinct=2)
-    assert r.detected and r.mapping == {"yes": "True", "no": "False"}
+    assert r.detected and r.values == {"yes": "True", "no": "False"}
     assert r.summary == "cast to BOOLEAN (2 values rewritten)"
     assert r.comment.startswith("CAST AS BOOLEAN -- ")
 
@@ -89,13 +89,13 @@ def test_column_type_step():
 def test_column_type_skipped_without_full_coverage():
     llm = SimulatedLLM()
     r = clean_column_type("flag", [("yes", 6)], llm, n_distinct=99)
-    assert not r.detected and not r.mapping and llm.calls == 0
+    assert not r.detected and not r.values and llm.calls == 0
 
 
 def test_numeric_outliers_step():
     counts = [("85.0", 10), ("90.0", 5), ("150.0", 1)]
     r = clean_numeric_outliers("score", counts, LLM, n_distinct=3)
-    assert r.detected and r.nulled == ("150.0",)
+    assert r.detected and r.values == {"150.0": None}
     assert r.summary == "nulled out-of-range values ['150.0']"
 
 

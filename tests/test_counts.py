@@ -2,40 +2,37 @@
 import pandas as pd
 
 from repro.core import sql_emit
-from repro.core.counts import (
-    apply_mapping,
-    fold,
-    fold_cube,
-    remove_values,
-)
+from repro.core.counts import fold, fold_counts, fold_cube
 from repro.profiling import fd
 
 
+# fold_counts: a rewriting map merges counts, a nulling map removes values
+
 def test_apply_mapping_merges_counts():
     counts = (("eng", 400), ("English", 90), ("fre", 10))
-    out = apply_mapping(counts, {"English": "eng"})
+    out = fold_counts(counts, {"English": "eng"})
     assert out == (("eng", 490), ("fre", 10))
 
 
 def test_apply_mapping_empty_is_identity():
     counts = (("a", 1),)
-    assert apply_mapping(counts, {}) is counts
+    assert fold_counts(counts, {}) == counts
 
 
 def test_apply_mapping_reorders_by_count_then_value():
     counts = (("b", 5), ("a", 5), ("c", 1))
-    out = apply_mapping(counts, {"c": "a"})
+    out = fold_counts(counts, {"c": "a"})
     assert out == (("a", 6), ("b", 5))
 
 
 def test_remove_values():
     counts = (("a", 5), ("N/A", 2), ("b", 1))
-    assert remove_values(counts, ["N/A"]) == (("a", 5), ("b", 1))
+    assert fold_counts(counts, {"N/A": None}) == (("a", 5), ("b", 1))
 
 
 def test_remove_values_absent_noop():
     counts = (("a", 5),)
-    assert remove_values(counts, ["zz"]) == counts
+    assert fold_counts(counts, {"zz": None}) == counts
 
 
 def test_fold_is_one_lookup_per_layer():
@@ -67,10 +64,10 @@ def test_folded_joint_equals_sql_groupby(spark):
     df.createOrReplaceTempView("fold_src")
     layers = [
         sql_emit.Layer("l0", exprs={
-            "city": sql_emit.mapping_case("city", {"B'ham": "Birmingham"}),
-            "zip": sql_emit.mapping_case("zip", {"35233.0": "35233"})}),
+            "city": sql_emit.value_case("city", {"B'ham": "Birmingham"}),
+            "zip": sql_emit.value_case("zip", {"35233.0": "35233"})}),
         sql_emit.Layer("l1", exprs={
-            "city": sql_emit.null_case("city", ["N/A"])}),
+            "city": sql_emit.value_case("city", {"N/A": None})}),
     ]
     maps = {"city": [{"B'ham": "Birmingham"}, {"N/A": None}],
             "zip": [{"35233.0": "35233"}]}

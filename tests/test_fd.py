@@ -148,8 +148,8 @@ def many_groups(spark):
     (frozenset({"N/A", "35202"}), 500),
     (frozenset(), 2),
 ])
-def test_violating_groups_match_groupby_reference(many_groups, exclude,
-                                                  max_groups):
+def test_violating_groups_match_groupby_reference(many_groups, monkeypatch,
+                                                  exclude, max_groups):
     df = many_groups
     cands = discover_fds(df, ["zip", "city"],
                          n_distinct={"zip": 8, "city": 7}, total=151,
@@ -157,7 +157,8 @@ def test_violating_groups_match_groupby_reference(many_groups, exclude,
     cand = next(c for c in cands if (c.lhs, c.rhs) == ("zip", "city"))
     want = _reference_groups(df, "zip", "city", exclude=exclude,
                              max_groups=max_groups)
-    assert violating_groups(cand, max_groups=max_groups) == want
+    monkeypatch.setattr(fd, "MAX_GROUPS", max_groups)
+    assert violating_groups(cand) == want
     assert cand.n_violating_groups == len(
         _reference_groups(df, "zip", "city", exclude=exclude))
 
@@ -213,7 +214,7 @@ def test_discover_fds_matches_stack_reference(spark, name):
 
     df = load(name).spark_dirty(spark)
     cols = [c for c in df.columns if c != "row_id"]
-    profs = profile_table(df, cols, top_k=0)
+    profs = profile_table(df, cols)
     kw = dict(n_distinct={c: p.n_distinct for c, p in profs.items()},
               total=profs[cols[0]].total)
     pairs = fd.candidate_pairs(cols, **kw)

@@ -199,9 +199,11 @@ STAGE_A = {f"clean_{n}" for n in ("string_outliers", "pattern_outliers",
 @pytest.mark.parametrize(
     "name", ["hospital", "flights", "beers", "rayyan", "movies"])
 def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
-    """Stage B's folded joint counts equal a ``groupBy`` over the stage A
-    SQL, and stage C's duplicate surplus and unique ratios equal the
-    direct statistics of the stage B SQL."""
+    """Stage A's folded frequency vectors equal the profile of the stage
+    A SQL (for every column profiled exhaustively), stage B's folded
+    joint counts equal a ``groupBy`` over it, and stage C's duplicate
+    surplus and unique ratios equal the direct statistics of the stage B
+    SQL."""
     import repro.core.pipeline as pipeline
     from repro.benchdata import load
     from repro.core.sql_emit import build_sql
@@ -218,6 +220,10 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
         return wrapper
 
     monkeypatch.setattr(fd, "pair_joints", capture("joints", fd.pair_joints))
+    monkeypatch.setattr(pipeline, "profile_table",
+                        capture("profile", pipeline.profile_table))
+    monkeypatch.setattr(pipeline, "domain_pairs",
+                        capture("freqs", pipeline.domain_pairs))
     monkeypatch.setattr(pipeline, "profile_rows",
                         capture("rows", pipeline.profile_rows))
 
@@ -236,12 +242,20 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     (df_c, _), (profs, repeated) = seen["rows"]
     stage_a = [l for l in seen["layers"] if l.name in STAGE_A]
     df_a = spark.sql(build_sql(f"cocoon_{name}", stage_a, all_cols))
+    _, profiles = seen["profile"]
+    (freqs,), _ = seen["freqs"]
+    exhaustive = [c for c in cols
+                  if profiles[c].n_distinct <= len(profiles[c].top_values)]
+    assert exhaustive
+    assert ({c: freqs[c] for c in exhaustive}
+            == {c: p.top_values
+                for c, p in profile_table(df_a, exhaustive).items()})
     assert ([{(a, b): n for a, b, n in j} for j in joints]
             == [{(a, b): n for a, b, n in j}
                 for j in reference_stats.stack_joints(df_a, pairs)])
     assert ({c: p.unique_ratio for c, p in profs.items()}
             == {c: p.unique_ratio for c, p in
-                profile_table(df_c, cols, top_k=0).items()})
+                profile_table(df_c, cols).items()})
     assert (duplicate_rows(repeated, cols)[0]
             == reference_stats.duplicate_rows(df_c, subset=cols)[0])
 

@@ -1,4 +1,6 @@
 """Profiling substrate vs. pandas ground truth (Spark aggregations)."""
+from dataclasses import replace
+
 import pandas as pd
 import pytest
 from pyspark.sql import DataFrame, Window
@@ -12,6 +14,7 @@ from repro.profiling import (
     profile_rows,
     profile_table,
 )
+from repro.profiling import column_profile
 from tests import reference_stats
 
 
@@ -102,9 +105,10 @@ def test_profile_column_counts(toy):
     assert p.unique_ratio == pytest.approx(3 / 9)
 
 
-def test_profile_column_top_k(toy):
+def test_profile_column_top_k(toy, monkeypatch):
     _pdf, df = toy
-    p = profile_table(df, ["mixed"], top_k=2)["mixed"]
+    monkeypatch.setattr(column_profile, "TOP_K", 2)
+    p = profile_table(df, ["mixed"])["mixed"]
     assert len(p.top_values) == 2
     assert p.top_values[0] == ("9", 3)
 
@@ -118,20 +122,22 @@ def test_profile_column_deterministic_tiebreak(toy):
 
 def test_profile_table_matches_per_column(toy):
     _pdf, df = toy
-    profs = profile_table(df, ["city", "score", "mixed"], top_k=100)
+    profs = profile_table(df, ["city", "score", "mixed"])
     for col in ("city", "score", "mixed"):
-        single = _profile_column(df, col, top_k=100)
+        single = _profile_column(df, col, top_k=column_profile.TOP_K)
         assert profs[col] == single, col
 
 
 @pytest.mark.parametrize("top_k", [5000, 3])
 @pytest.mark.parametrize(
     "name", ["hospital", "flights", "beers", "rayyan", "movies"])
-def test_profile_table_matches_reference_on_benchmarks(spark, name, top_k):
+def test_profile_table_matches_reference_on_benchmarks(spark, monkeypatch,
+                                                       name, top_k):
     """``top_k=3`` truncates inside runs of equal counts."""
     df = load(name).spark_dirty(spark)
     cols = [c for c in df.columns if c != "row_id"]
-    assert (profile_table(df, cols, top_k=top_k)
+    monkeypatch.setattr(column_profile, "TOP_K", top_k)
+    assert (profile_table(df, cols)
             == _profile_table_reference(df, cols, top_k=top_k))
 
 
@@ -145,9 +151,10 @@ def test_profile_table_matches_reference_on_benchmarks(spark, name, top_k):
     # the surrogate pair of 😀 before Ａ
     pytest.param(["😀", "Ａ", "é", "z"] * 2 + ["q"], 3, id="unicode-ties"),
 ])
-def test_profile_table_edge_cases(spark, values, top_k):
+def test_profile_table_edge_cases(spark, monkeypatch, values, top_k):
     df = spark.createDataFrame([(v,) for v in values], "v string")
-    assert (profile_table(df, ["v"], top_k=top_k)["v"]
+    monkeypatch.setattr(column_profile, "TOP_K", top_k)
+    assert (profile_table(df, ["v"])["v"]
             == _profile_column(df, "v", top_k=top_k))
 
 
@@ -162,7 +169,7 @@ def test_profile_table_runs_one_spark_action(toy, monkeypatch):
             return _orig(self, *args, **kwargs)
         monkeypatch.setattr(ClassicDataFrame, name, counted)
     _pdf, df = toy
-    profile_table(df, ["city", "score", "mixed"], top_k=2)
+    profile_table(df, ["city", "score", "mixed"])
     assert len(actions) == 1, actions
 
 
@@ -186,7 +193,8 @@ def _assert_rows_match_reference(df, cols):
     duplicate count: unique ratios, surplus, and samples that are the
     most repeated rows, ties ordered by key."""
     profs, repeated = profile_rows(df, cols)
-    assert profs == profile_table(df, cols, top_k=0)
+    assert profs == {c: replace(p, top_values=())
+                     for c, p in profile_table(df, cols).items()}
     surplus, samples = duplicate_rows(repeated, cols)
     want, _ = reference_stats.duplicate_rows(df, subset=cols)
     _, every = reference_stats.duplicate_rows(df, subset=cols,
@@ -207,7 +215,7 @@ def test_profile_rows_matches_reference_on_benchmarks(spark, name):
                                       if c != "row_id"])
 
 
-def test_profile_rows_matches_reference_with_duplicates(spark):
+def test_profile_rows_matches_reference_with_duplicates(spark, monkeypatch):
     # 7 rows repeated twice (ties), one three times, NULLs inside keys,
     # a column named like the count and one named like the row key
     rows = [(f"v{i % 8}", None if i % 8 == 3 else "n", str(i % 2))
@@ -219,8 +227,9 @@ def test_profile_rows_matches_reference_with_duplicates(spark):
     _, samples = duplicate_rows(profile_rows(df, cols)[1], cols)
     assert samples[:2] == ["count='v0', __row='n', c='0' (x3)",
                            "count='v1', __row='n', c='1' (x2)"]
+    monkeypatch.setattr(column_profile, "SAMPLE_ROWS", 10)
     assert "count='v3', __row=None, c='1' (x2)" in duplicate_rows(
-        profile_rows(df, cols)[1], cols, sample=10)[1]
+        profile_rows(df, cols)[1], cols)[1]
 
 
 @pytest.mark.parametrize("rows", [
@@ -235,6 +244,6 @@ def test_profile_rows_edge_cases(spark, rows):
 def test_unique_ratio(toy):
     _pdf, df = toy
     empty = df.withColumn("empty", F.lit(None).cast("string"))
-    profs = profile_table(empty, ["city", "row_id", "empty"], top_k=0)
+    profs = profile_table(empty, ["city", "row_id", "empty"])
     assert {c: p.unique_ratio for c, p in profs.items()} == {
         "city": pytest.approx(3 / 9), "row_id": 1.0, "empty": 0.0}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import sql_emit
-from repro.core.counts import apply_mapping, remove_values
+from repro.core.counts import fold, fold_counts
 from repro.llm import knowledge as kb
 
 settings.register_profile("repro", max_examples=50, deadline=None)
@@ -65,7 +65,7 @@ def test_apply_mapping_preserves_mass(counts, mapping):
     for v, c in counts:
         uniq[v] = uniq.get(v, 0) + c
     counts_t = tuple(uniq.items())
-    out = apply_mapping(counts_t, mapping)
+    out = fold_counts(counts_t, mapping)
     assert sum(c for _, c in out) == sum(c for _, c in counts_t)
 
 
@@ -73,19 +73,25 @@ def test_apply_mapping_preserves_mass(counts, mapping):
 def test_remove_values_subset(counts):
     uniq = tuple({v: c for v, c in counts}.items())
     vals = [v for v, _ in uniq[:2]]
-    out = remove_values(uniq, vals)
+    out = fold_counts(uniq, dict.fromkeys(vals))
     assert all(v not in vals for v, _ in out)
 
 
-@given(idents, st.dictionaries(words, words, min_size=1, max_size=8))
+@given(idents, st.dictionaries(words, st.none() | words, min_size=1,
+                               max_size=8))
 def test_mapping_case_emits_valid_duckdb_sql(col, mapping):
-    expr = sql_emit.mapping_case(col, mapping)
+    """Any value map, rewriting, nulling or both, runs on DuckDB and
+    does to each value what its fold into the statistics does."""
+    expr = sql_emit.value_case(col, mapping)
+    probes = list(dict.fromkeys([*mapping, "probe"]))
+    rows = ", ".join(f"({sql_emit.sql_str(v)})" for v in probes)
     con = duckdb.connect()
     try:
-        con.execute(f"SELECT {expr} AS out FROM "
-                    f"(SELECT 'probe' AS {col})")
+        out = con.execute(f"SELECT {col}, {expr} FROM "
+                          f"(VALUES {rows}) t({col})").fetchall()
     finally:
         con.close()
+    assert dict(out) == {v: fold(v, [mapping]) for v in probes}
 
 
 @given(st.integers(0, 59), st.integers(0, 23))

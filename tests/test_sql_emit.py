@@ -45,15 +45,23 @@ def _duck(expr_by_col: dict[str, str], pdf: pd.DataFrame) -> pd.DataFrame:
         con.close()
 
 
+# value_case: the rewriting (mapping) and the nulling case of a value map
+
 def test_mapping_case():
-    expr = sql_emit.mapping_case("city", {"Birminghxm": "Birmingham"})
+    expr = sql_emit.value_case("city", {"Birminghxm": "Birmingham",
+                                        "B'ham": "Birmingham"})
+    assert expr == ("CASE WHEN city = 'B''ham' THEN 'Birmingham'\n"
+                    "        WHEN city = 'Birminghxm' THEN 'Birmingham'\n"
+                    "        ELSE city END")
     out = _duck({"city": expr}, pd.DataFrame(
         {"city": ["Birminghxm", "Boston", None]}))
     assert list(out["city"]) == ["Birmingham", "Boston", None]
 
 
 def test_null_case():
-    expr = sql_emit.null_case("county", ["N/A", "--"])
+    expr = sql_emit.value_case("county", dict.fromkeys(["N/A", "--"]))
+    assert expr == ("CASE WHEN county IN ('--', 'N/A') THEN NULL "
+                    "ELSE county END")
     out = _duck({"county": expr}, pd.DataFrame(
         {"county": ["N/A", "Jefferson", "--"]}))
     assert list(out["county"]) == [None, "Jefferson", None]
@@ -100,7 +108,7 @@ def test_build_sql_empty_layers_is_identity():
 
 
 def test_project_layer_passes_untouched_columns():
-    layer = Layer("l1", exprs={"a": sql_emit.mapping_case("a", {"x": "z"})},
+    layer = Layer("l1", exprs={"a": sql_emit.value_case("a", {"x": "z"})},
                   comments=["why"])
     sql = build_sql("t", [layer], ["row_id", "a", "b"])
     assert "-- why" in sql
@@ -134,8 +142,8 @@ def test_window_dedupe_desc_order():
 
 
 def test_layers_nest_in_order():
-    l1 = Layer("s1", exprs={"a": sql_emit.mapping_case("a", {"x": "y"})})
-    l2 = Layer("s2", exprs={"a": sql_emit.mapping_case("a", {"y": "w"})})
+    l1 = Layer("s1", exprs={"a": sql_emit.value_case("a", {"x": "y"})})
+    l2 = Layer("s2", exprs={"a": sql_emit.value_case("a", {"y": "w"})})
     sql = build_sql("t", [l1, l2], ["row_id", "a", "b"])
     con = duckdb.connect()
     con.register("t", _toy())
@@ -160,9 +168,9 @@ def test_spark_and_duckdb_agree_on_emitted_sql(spark):
     })
     layers = [
         Layer("fixes", exprs={
-            "city": sql_emit.mapping_case("city", {"Birminghxm": "Birmingham"}),
+            "city": sql_emit.value_case("city", {"Birminghxm": "Birmingham"}),
         }),
-        Layer("dmv", exprs={"city": sql_emit.null_case("city", ["N/A"])}),
+        Layer("dmv", exprs={"city": sql_emit.value_case("city", {"N/A": None})}),
     ]
     sql = build_sql("emit_check", layers, ["row_id", "city", "note"])
     sdf = to_spark_strings(spark, pdf)
