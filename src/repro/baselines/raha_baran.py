@@ -34,6 +34,7 @@ from pyspark.sql import DataFrame
 
 from repro.benchdata.base import Benchmark
 from repro.core import sql_emit
+from repro.core.counts import FDRepair, Swap
 from repro.core.sql_emit import Layer, build_sql
 from repro.llm import knowledge as kb
 from repro.profiling.column_profile import profile_table
@@ -155,7 +156,8 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
         )
         if not a_off or not b_off:
             continue
-        a_expr, b_expr = sql_emit.swap_case(a, b, a_off, b_off)
+        a_expr, b_expr = sql_emit.swap_case(
+            Swap(a, b, tuple(a_off), tuple(b_off)))
         layer = Layer(f"baran_swap_{k}")
         layer.exprs[a] = a_expr
         layer.exprs[b] = b_expr
@@ -201,7 +203,7 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
             repaired_rhs.add(cand.rhs)
             layer = Layer(f"baran_vicinity_{i}")
             layer.exprs[cand.rhs] = sql_emit.fd_repair_case(
-                cand.lhs, cand.rhs, mapping)
+                FDRepair(cand.lhs, cand.rhs, mapping))
             layer.comments.append(
                 f"vicinity model {cand.lhs} -> {cand.rhs}: mode repair of "
                 f"{len(mapping)} groups")

@@ -10,12 +10,20 @@ step.
 Table-level statistics are folded the same way: each column's stage A
 value maps are kept in layer order, and :func:`fold_cube` passes a
 value cube of the input through them, which gives the cube of the
-column-cleaned table without evaluating its SQL.
+column-cleaned table without evaluating its SQL. The table-level row
+rewrites, misplacement's :class:`Swap` and the FD step's
+:class:`FDRepair`, fold the cube further, to the repaired table. Each
+decision is one value that :mod:`repro.core.sql_emit` renders as a SQL
+layer and that folds the cube as that layer rewrites rows.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pandas as pd
+
+from repro.profiling.fd import factorize
 
 Counts = tuple[tuple[str, int], ...]
 #: one step's decision for one column, and the SQL layer that applies
@@ -53,7 +61,50 @@ def fold_cube(cube: pd.DataFrame,
     """
     out = {}
     for c in cube.columns:
-        codes, uniques = pd.factorize(cube[c].to_numpy())
+        codes, uniques = factorize(cube[c].to_numpy())
         folded = [fold(v, maps.get(c, [])) for v in uniques] + [None]
         out[c] = np.array(folded, dtype=object)[codes]
     return pd.DataFrame(out, columns=cube.columns)
+
+
+@dataclass(frozen=True)
+class Swap:
+    """Swap two columns' cells back in every row where ``a`` holds one
+    of ``a_off`` and ``b`` one of ``b_off`` (misplacement, §2.1)."""
+
+    a: str
+    b: str
+    #: ``a``'s values that belong in ``b``, and ``b``'s that belong in
+    #: ``a``; never NULL
+    a_off: tuple[str, ...]
+    b_off: tuple[str, ...]
+
+    def fold(self, cube: pd.DataFrame) -> pd.DataFrame:
+        """``cube`` with the swap applied; NULL is in neither list."""
+        a, b = cube[self.a].to_numpy(), cube[self.b].to_numpy()
+        hit = (cube[self.a].isin(self.a_off).to_numpy()
+               & cube[self.b].isin(self.b_off).to_numpy())
+        out = cube.copy()
+        out[self.a], out[self.b] = np.where(hit, b, a), np.where(hit, a, b)
+        return out
+
+
+@dataclass(frozen=True)
+class FDRepair:
+    """Rewrite ``rhs`` to ``mapping[lhs]`` in every row whose ``lhs``
+    is a repaired group and whose ``rhs`` is not NULL (§2.1.6)."""
+
+    lhs: str
+    rhs: str
+    #: LHS value -> the group's true RHS value
+    mapping: dict[str, str]
+
+    def fold(self, cube: pd.DataFrame) -> pd.DataFrame:
+        """``cube`` with the repair applied; a NULL LHS matches no
+        group and a NULL RHS stays NULL."""
+        new = cube[self.lhs].map(self.mapping).to_numpy()
+        rhs = cube[self.rhs].to_numpy()
+        hit = pd.notna(new) & pd.notna(rhs)
+        out = cube.copy()
+        out[self.rhs] = np.where(hit, new, rhs)
+        return out

@@ -2,8 +2,8 @@
 
 Statistical detection finds exactly-duplicated rows (over the content
 columns — a surrogate ``row_id`` is excluded from row identity): the
-pipeline's stage C pass (:func:`repro.profiling.profile_rows`) returns
-every repeated row with its count. The LLM judges whether duplication
+pipeline's stage C statistics (:func:`repro.profiling.profile_cube_rows`
+of its folded value cube) give every repeated row with its count. The LLM judges whether duplication
 is semantically acceptable (e.g. coarse logging). Erroneous duplicates
 are removed with a dedupe layer equivalent to the paper's ``SELECT
 DISTINCT`` (a window keeps the first-``row_id`` copy so surrogate ids
@@ -23,8 +23,8 @@ def clean_duplication(
     repeated: list[tuple[str, int]],
     llm: LLMClient,
 ) -> TableOutcome:
-    """``repeated`` is :func:`~repro.profiling.profile_rows`'s list of
-    repeated rows over ``content_cols``."""
+    """``repeated`` is :func:`~repro.profiling.profile_cube_rows`' list
+    of repeated rows over ``content_cols``."""
     surplus, samples = duplicate_rows(repeated, content_cols)
     if surplus == 0:
         return TableOutcome((), (StepReport(

@@ -10,6 +10,7 @@ paper's Flights discussion). Cleaning is a per-FD ``CASE WHEN`` layer.
 """
 from __future__ import annotations
 
+from repro.core.counts import FDRepair
 from repro.core.outcome import StepReport, TableOutcome
 from repro.core.sql_emit import Layer, fd_repair_case
 from repro.llm.client import LLMClient
@@ -33,6 +34,7 @@ def clean_fds(cands: list[FDCandidate], llm: LLMClient) -> TableOutcome:
     """
     layers: list[Layer] = []
     steps: list[StepReport] = []
+    repairs: list[FDRepair] = []
     repaired_rhs: set[str] = set()
     for cand in cands:
         lhs, rhs = cand.lhs, cand.rhs
@@ -48,9 +50,11 @@ def clean_fds(cands: list[FDCandidate], llm: LLMClient) -> TableOutcome:
             continue
         repaired_rhs.add(rhs)
         n_fixed, n_abstained = len(repair.mapping), len(repair.abstained)
+        fix = FDRepair(lhs, rhs, repair.mapping)
+        repairs.append(fix)
         layers.append(Layer(
             f"clean_fd_{len(layers)}",
-            exprs={rhs: fd_repair_case(lhs, rhs, repair.mapping)},
+            exprs={rhs: fd_repair_case(fix)},
             comments=[f"FD {lhs} -> {rhs} "
                       f"(H={cand.conditional_entropy:.3f}): repaired "
                       f"{n_fixed} groups, abstained on {n_abstained} "
@@ -63,4 +67,4 @@ def clean_fds(cands: list[FDCandidate], llm: LLMClient) -> TableOutcome:
         steps.append(StepReport(
             "functional_dependency", None, False,
             "no meaningful FD with repairable violations"))
-    return TableOutcome(tuple(layers), tuple(steps))
+    return TableOutcome(tuple(layers), tuple(steps), tuple(repairs))

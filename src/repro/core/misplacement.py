@@ -13,8 +13,7 @@ confirms the misplacement and cleaning swaps the cells back via paired
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.counts import Swap
 from repro.core.outcome import StepReport, TableOutcome
 from repro.core.sql_emit import Layer, swap_case
 from repro.llm import knowledge as kb
@@ -49,20 +48,10 @@ def _dominant_domain(counts: ValueCounts) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class DomainPair:
-    """Two columns of distinct dominant domains, each holding values of
-    the other's domain."""
-
-    a: str
-    b: str
-    #: ``a``'s values in ``b``'s domain, and ``b``'s in ``a``'s (sorted)
-    a_off: tuple[str, ...]
-    b_off: tuple[str, ...]
-
-
-def domain_pairs(counts_by_col: dict[str, ValueCounts]) -> list[DomainPair]:
-    """The column pairs to review, in review order (by column names)."""
+def domain_pairs(counts_by_col: dict[str, ValueCounts]) -> list[Swap]:
+    """The candidate swaps to review, in review order (by column names):
+    every pair of columns with distinct dominant domains, each holding
+    values of the other's domain (sorted in ``a_off`` and ``b_off``)."""
     domains = {
         c: d for c, counts in counts_by_col.items()
         if (d := _dominant_domain(counts)) is not None
@@ -79,12 +68,12 @@ def domain_pairs(counts_by_col: dict[str, ValueCounts]) -> list[DomainPair]:
             b_off = tuple(sorted(v for v, _ in counts_by_col[b]
                                  if kb.domain_of(v) == da))
             if a_off and b_off:
-                out.append(DomainPair(a, b, a_off, b_off))
+                out.append(Swap(a, b, a_off, b_off))
     return out
 
 
 def clean_misplacement(
-    pairs: list[DomainPair],
+    pairs: list[Swap],
     joints: dict[tuple[str, str], Joint],
     llm: LLMClient,
 ) -> TableOutcome:
@@ -98,6 +87,7 @@ def clean_misplacement(
     """
     layers: list[Layer] = []
     steps: list[StepReport] = []
+    swaps: list[Swap] = []
     swapped_cols: set[str] = set()
     n_confirmed = 0
     for p in pairs:
@@ -118,7 +108,8 @@ def clean_misplacement(
         if {a, b} & swapped_cols:
             continue
         swapped_cols |= {a, b}
-        a_expr, b_expr = swap_case(a, b, list(p.a_off), list(p.b_off))
+        a_expr, b_expr = swap_case(p)
+        swaps.append(p)
         layers.append(Layer(
             name, exprs={a: a_expr, b: b_expr},
             comments=[f"{a} <-> {b}: {n} rows hold each other's "
@@ -129,4 +120,4 @@ def clean_misplacement(
     if not steps:
         steps.append(StepReport(
             "misplacement", None, False, "no misplaced columns"))
-    return TableOutcome(tuple(layers), tuple(steps))
+    return TableOutcome(tuple(layers), tuple(steps), tuple(swaps))

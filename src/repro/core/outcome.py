@@ -5,13 +5,14 @@ Each per-column ``clean_*`` function (§2.1.1-§2.1.5) returns a
 as a SQL layer expression and folds into the column's frequency
 vector. Each table-level step (misplacement, FDs, duplication,
 uniqueness) returns a :class:`TableOutcome`: its finished SQL layers and
-its audit entries, which the pipeline appends as they are.
+its audit entries, which the pipeline appends as they are, and the row
+rewrites its layers apply, which the pipeline folds into its value cube.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.counts import ValueMap
+from repro.core.counts import FDRepair, Swap, ValueMap
 from repro.core.sql_emit import Layer
 
 #: the surrogate key; excluded from row identity, orders dedupe windows
@@ -50,8 +51,11 @@ class TableOutcome:
 
     ``layers`` are commented SQL layers to append, in order; ``steps``
     are the reports to record. A step that emits no layer still records
-    one report.
+    one report. ``rewrites`` are the decisions the layers render, in
+    layer order, when they rewrite cells (swaps and FD repairs); the
+    dedupe layers have none.
     """
 
     layers: tuple[Layer, ...]
     steps: tuple[StepReport, ...]
+    rewrites: tuple[Swap | FDRepair, ...] = ()

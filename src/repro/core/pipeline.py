@@ -16,16 +16,21 @@ Every step couples Spark statistical detection with LLM semantic
 detection/cleaning; the final artifact is one nested-CTE statement that
 Spark executes (and the DuckDB oracle re-executes in tests).
 
-Planning runs three Spark jobs, and only the input is cached:
+Planning runs one Spark job, and only the input is cached: a
+:func:`~repro.profiling.fd.value_cube` of the input over every content
+column, the distinct rows with their counts. Every statistic the three
+stages read is derived from it on the driver:
 
-* stage A: one :func:`~repro.profiling.profile_table` of the input;
-* stage B: one :func:`~repro.profiling.fd.value_cube` of the input
-  over the FD candidate columns and the misplacement pairs' columns.
-  The stage A value maps are folded into it on the driver
+* stage A: each column's profile is the cube's marginal
+  (:func:`~repro.profiling.profile_cube`);
+* stage B: the stage A value maps are folded into the cube
   (:func:`~repro.core.counts.fold_cube`), which gives the joint counts
   of the column-cleaned table without evaluating its SQL;
-* stage C: one :func:`~repro.profiling.profile_rows` over the SQL of
-  stages A and B, for the unique ratios and the duplicate rows.
+* stage C: the stage B swaps and FD repairs fold it further, and the
+  unique ratios and the duplicate rows of the repaired table are read
+  from it (:func:`~repro.profiling.profile_cube_rows`).
+
+SQL is built and handed to Spark once, for the final statement.
 
 The input table must be all-string columns plus a ``row_id`` surrogate
 key — the CSV-benchmark shape the paper evaluates on.
@@ -51,7 +56,15 @@ from repro.core.string_outliers import clean_string_outliers
 from repro.core.uniqueness import clean_uniqueness
 from repro.llm.client import LLMClient
 from repro.profiling import fd
-from repro.profiling.column_profile import TOP_K, profile_rows, profile_table
+# profile_table is the one-job profile of a frame, which Cocoon no
+# longer calls; it stays importable here, where perfbench/layers.py
+# traces it
+from repro.profiling.column_profile import (  # noqa: F401
+    TOP_K,
+    profile_cube,
+    profile_cube_rows,
+    profile_table,
+)
 
 
 @dataclass
@@ -95,7 +108,10 @@ class CocoonPipeline:
         counts_by_col: dict[str, tuple[tuple[str, int], ...]] = {}
         maps: dict[str, list[counts_util.ValueMap]] = {c: [] for c in cols}
         covered: dict[str, bool] = {}
-        profiles = profile_table(df, cols)
+        # planning's one Spark job: every statistic below is derived
+        # from this cube on the driver
+        cube, rows = fd.value_cube(df, cols)
+        profiles = profile_cube(cube, rows)
         total = profiles[cols[0]].total
 
         for c in cols:
@@ -125,7 +141,7 @@ class CocoonPipeline:
         layers = [l for l in step_layers.values() if l.exprs]
 
         # ---- stage B: misplacement and FDs over the column-cleaned data,
-        # from one value cube of the input folded through stage A.
+        # from the input's value cube folded through stage A.
         # Swaps come first: misplacement is a row-local structural fix,
         # and FD group repairs would otherwise overwrite the swap
         # evidence in the repaired column.
@@ -137,22 +153,20 @@ class CocoonPipeline:
                                       total=total)
         swaps = domain_pairs(counts_by_col)
         pairs = list(dict.fromkeys(fd_pairs + [(p.a, p.b) for p in swaps]))
-        joints = {}
-        if pairs:
-            cube, rows = fd.value_cube(
-                df, list(dict.fromkeys(c for p in pairs for c in p)))
-            joints = dict(zip(pairs, fd.pair_joints(
-                counts_util.fold_cube(cube, maps), rows, pairs)))
+        cube = counts_util.fold_cube(cube, maps)
+        joints = dict(zip(pairs, fd.pair_joints(cube, rows, pairs)))
         for out in (clean_misplacement(swaps, joints, self.llm),
                     clean_fds(fd.fd_candidates(
                         fd_pairs, [joints[p] for p in fd_pairs]),
                         self.llm)):
             layers.extend(out.layers)
             report.steps.extend(out.steps)
+            for rewrite in out.rewrites:
+                cube = rewrite.fold(cube)
 
-        # ---- stage C: duplication and uniqueness over repaired data ----
-        col_profiles, repeated = profile_rows(
-            spark.sql(build_sql(view, layers, all_cols)), cols)
+        # ---- stage C: duplication and uniqueness over repaired data,
+        # from the cube folded through stages A and B
+        col_profiles, repeated = profile_cube_rows(cube, rows)
         for out in (clean_duplication(table_name, cols, repeated, self.llm),
                     clean_uniqueness(cols, {
                         c: p.unique_ratio for c, p in col_profiles.items()},

@@ -6,15 +6,16 @@ WHEN`` / ``IN`` / window expressions; :func:`build_sql` nests the layers
 into one statement. The dialect is deliberately restricted so the exact
 same text runs on Spark (Catalyst, the production path) and on DuckDB
 (the correctness oracle): unquoted snake_case identifiers, single-quoted
-literals with ``''`` escaping, ``CASE WHEN``, ``IN`` lists,
-``row_number() OVER``, and no backslashes.
+literals with ``''`` escaping, ``CASE WHEN``, ``IN`` lists and
+``row_number() OVER``. A backslash, which the two engines read
+differently inside a literal, is spliced in as ``chr(92)``.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
-from repro.core.counts import ValueMap
+from repro.core.counts import FDRepair, Swap, ValueMap
 
 _IDENT_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
@@ -30,13 +31,17 @@ def safe_ident(name: str) -> str:
 
 
 def sql_str(value: str) -> str:
-    """A single-quoted literal valid in both dialects."""
-    if "\\" in value:
-        raise ValueError(
-            f"value {value!r} contains a backslash; backslash escaping "
-            "differs between Spark and DuckDB so it cannot be emitted"
-        )
-    return "'" + value.replace("'", "''") + "'"
+    """A string literal valid in both dialects.
+
+    Spark reads a backslash in a literal as an escape and DuckDB as
+    itself, so backslashes are concatenated in as ``chr(92)``, inside
+    parentheses so the expression can stand where a literal does
+    (``= ...``, ``IN (...)``).
+    """
+    parts = ["'" + p.replace("'", "''") + "'" for p in value.split("\\")]
+    if len(parts) == 1:
+        return parts[0]
+    return "(" + " || chr(92) || ".join(parts) + ")"
 
 
 def value_case(column: str, values: ValueMap) -> str:
@@ -55,25 +60,24 @@ def value_case(column: str, values: ValueMap) -> str:
     return f"CASE {whens}\n        ELSE {c} END"
 
 
-def fd_repair_case(lhs: str, rhs: str, mapping: dict[str, str]) -> str:
+def fd_repair_case(repair: FDRepair) -> str:
     """Rewrite the RHS of every repaired FD group to its true value."""
-    l, r = safe_ident(lhs), safe_ident(rhs)
+    l, r = safe_ident(repair.lhs), safe_ident(repair.rhs)
     # "AND r IS NOT NULL" preserves NULLs (e.g. from the DMV layer) inside
     # repaired groups — the FD fixes wrong values, it does not impute.
     whens = "\n        ".join(
         f"WHEN {l} = {sql_str(k)} AND {r} IS NOT NULL THEN {sql_str(v)}"
-        for k, v in sorted(mapping.items())
+        for k, v in sorted(repair.mapping.items())
     )
     return f"CASE {whens}\n        ELSE {r} END"
 
 
-def swap_case(col_a: str, col_b: str, a_offending: list[str],
-              b_offending: list[str]) -> tuple[str, str]:
+def swap_case(swap: Swap) -> tuple[str, str]:
     """Expressions swapping two columns back where both hold the other's
     values (misplacement repair). Returns ``(expr_for_a, expr_for_b)``."""
-    a, b = safe_ident(col_a), safe_ident(col_b)
-    a_in = ", ".join(sql_str(v) for v in sorted(a_offending))
-    b_in = ", ".join(sql_str(v) for v in sorted(b_offending))
+    a, b = safe_ident(swap.a), safe_ident(swap.b)
+    a_in = ", ".join(sql_str(v) for v in sorted(swap.a_off))
+    b_in = ", ".join(sql_str(v) for v in sorted(swap.b_off))
     cond = f"{a} IN ({a_in}) AND {b} IN ({b_in})"
     return (
         f"CASE WHEN {cond} THEN {b} ELSE {a} END",

@@ -1,5 +1,4 @@
-"""Per-column statistical profiles and duplicate rows from one Spark
-aggregation.
+"""Per-column statistical profiles and duplicate rows.
 
 The profile carries exactly what the paper's prompts need: row/null
 counts, distinct cardinality, and the top-K value frequencies (the
@@ -8,25 +7,35 @@ ordered by descending count with the value itself as a deterministic
 tie-break so profiles — and therefore every downstream LLM decision —
 are stable across runs.
 
-Every statistic comes from **one** Spark job: the table is unpivoted
-to ``(column, value)`` cells, NULL cells included, and a single
-``groupBy`` counts them. The counts are collected through Arrow and
-everything else is derived on the driver: a count-distinct per column
-would make Spark add an ``Expand`` and a two-level aggregate, and a
-top-K window a second shuffle. :func:`profile_rows` adds one more
-unpivoted cell per row, the whole row as a JSON key, so the same job
-also finds the exactly duplicated rows (§2.1.7) that
-:func:`duplicate_rows` summarizes.
+A profile comes from one of two sources, reduced on the driver by the
+same code:
+
+* :func:`profile_table` is **one** Spark job: the table is unpivoted to
+  ``(column, value)`` cells, NULL cells included, and a single
+  ``groupBy`` counts them. The counts are collected through Arrow and
+  everything else is derived on the driver: a count-distinct per column
+  would make Spark add an ``Expand`` and a two-level aggregate, and a
+  top-K window a second shuffle. It suits callers that need no rows.
+* :func:`profile_cube` marginalizes a value cube
+  (:func:`repro.profiling.fd.value_cube`: the distinct rows and their
+  counts), which Cocoon collects once and folds through its cleaning
+  decisions on the driver. :func:`profile_cube_rows` also finds the
+  cube's exactly duplicated rows (§2.1.7), which :func:`duplicate_rows`
+  summarizes.
 """
 from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+from repro.profiling.fd import factorize
 
 #: top values kept per column; a column with more distinct values skips
 #: the cleaning steps that need an exhaustive value list
@@ -64,20 +73,20 @@ def _cell_counts(df: DataFrame, columns: list[str]) -> DataFrame:
     )
 
 
-def _profiles(counts: pd.DataFrame, columns: list[str],
-              top_k: int) -> dict[str, ColumnProfile]:
-    """Every column's profile from its collected cell counts.
+def _profiles(cells: Iterable[tuple[str, str | None, int]],
+              columns: list[str], top_k: int) -> dict[str, ColumnProfile]:
+    """Every column's profile from its ``(column, value, count)`` cells,
+    one per distinct value, NULL included.
 
     A column's ``total`` is the sum of its counts, ``nulls`` its NULL
-    group's count and ``n_distinct`` its number of non-NULL groups. Its
-    top values are the non-NULL groups ordered by ``(-count, value)``:
+    cell's count and ``n_distinct`` its number of non-NULL cells. Its
+    top values are the non-NULL cells ordered by ``(-count, value)``:
     Python's code-point order of ``str`` equals Spark's binary UTF-8
     order, so ties break as a Spark sort would.
     """
     nulls = dict.fromkeys(columns, 0)
     groups: dict[str, list[tuple[str, int]]] = {c: [] for c in columns}
-    for c, v, n in zip(counts["__col"].tolist(), counts["__val"].tolist(),
-                       counts["count"].tolist()):
+    for c, v, n in cells:
         if v is None:
             nulls[c] = n
         else:
@@ -102,41 +111,74 @@ def profile_table(df: DataFrame,
     The driver receives one row per distinct (column, value), NULL
     included, and derives each profile from them.
     """
-    return _profiles(_cell_counts(df, columns).toPandas(), columns, TOP_K)
+    counts = _cell_counts(df, columns).toPandas()
+    return _profiles(zip(counts["__col"].tolist(), counts["__val"].tolist(),
+                         counts["count"].tolist()), columns, TOP_K)
 
 
-def profile_rows(
-    df: DataFrame, columns: list[str],
+def _cube_cells(cube: pd.DataFrame, rows: np.ndarray
+                ) -> Iterator[tuple[str, str | None, int]]:
+    """Each column's marginal of a value cube, as ``_profiles`` cells."""
+    for c in cube.columns:
+        codes, uniques = factorize(cube[c].to_numpy())
+        # float sums of integer counts are exact below 2**53 rows
+        n = np.bincount(codes + 1, weights=rows,
+                        minlength=len(uniques) + 1).astype(np.int64)
+        yield c, None, int(n[0])
+        yield from ((c, v, k) for v, k in zip(uniques.tolist(),
+                                              n[1:].tolist()))
+
+
+def profile_cube(cube: pd.DataFrame,
+                 rows: np.ndarray) -> dict[str, ColumnProfile]:
+    """Every column's profile from a value cube and its row counts, as
+    :func:`repro.profiling.fd.value_cube` returns them; equal to
+    :func:`profile_table` of the table the cube counts."""
+    return _profiles(_cube_cells(cube, rows), list(cube.columns), TOP_K)
+
+
+#: how Spark's ``to_json`` escapes a string's characters: the short
+#: escapes, and every other control character as upper-case ``\u00XX``
+_JSON_ESCAPES = {i: f"\\u{i:04X}" for i in range(32)} | {
+    ord(ch): "\\" + e for ch, e in zip('"\\\b\t\n\f\r', '"\\btnfr')}
+
+
+def _row_key(values: Iterable[str | None]) -> str:
+    """Spark's ``to_json(array(<values>))``, byte for byte: an injective
+    key of a row in which NULLs compare equal, as in a ``GROUP BY``."""
+    return "[" + ",".join(
+        "null" if v is None else '"' + v.translate(_JSON_ESCAPES) + '"'
+        for v in values) + "]"
+
+
+def profile_cube_rows(
+    cube: pd.DataFrame, rows: np.ndarray,
 ) -> tuple[dict[str, ColumnProfile], list[tuple[str, int]]]:
-    """Profiles without top values, and every repeated row, in one job.
+    """Profiles without top values, and every repeated row, of a cube.
 
-    Besides the columns' cells, each row contributes one cell holding
-    the row itself, ``to_json(array(<columns>))``: an injective key in
-    which NULLs group together as they do in a ``GROUP BY``. Only keys
-    seen more than once leave Spark. Returns the profiles (``top_k=0``)
-    and the repeated rows as ``(key, count)``.
+    The cube's rows need not be distinct (a folded cube's are not):
+    equal rows, NULLs included, add up their counts. Returns the
+    profiles (``top_k=0``) and the rows counted more than once as
+    ``(key, count)``, the key being the row's :func:`_row_key`.
     """
-    label = "__row"
-    while label in columns:
-        label = "_" + label
-    cells = [F.col(c) for c in columns]
-    keyed = df.select(*cells, F.to_json(F.array(*cells)).alias(label))
-    counts = (
-        _cell_counts(keyed, columns + [label])
-        .where((F.col("__col") != label) | (F.col("count") > 1))
-        .toPandas()
-    )
-    is_row = counts["__col"] == label
-    rows = counts[is_row]
-    return (_profiles(counts[~is_row], columns, top_k=0),
-            list(zip(rows["__val"].tolist(), rows["count"].tolist())))
+    columns = list(cube.columns)
+    codes = np.column_stack([factorize(cube[c].to_numpy())[0]
+                             for c in columns])
+    _, first, inverse = np.unique(codes, axis=0, return_index=True,
+                                  return_inverse=True)
+    n = np.bincount(inverse.reshape(-1), weights=rows,
+                    minlength=len(first)).astype(np.int64)
+    values = cube.to_numpy(dtype=object)
+    repeated = [(_row_key(values[first[k]]), int(n[k]))
+                for k in np.flatnonzero(n > 1)]
+    return _profiles(_cube_cells(cube, rows), columns, top_k=0), repeated
 
 
 def duplicate_rows(repeated: list[tuple[str, int]],
                    columns: list[str]) -> tuple[int, list[str]]:
     """Surplus duplicated rows, plus sample renderings.
 
-    ``repeated`` is :func:`profile_rows`'s ``(key, count)`` list over
+    ``repeated`` is :func:`profile_cube_rows`' ``(key, count)`` list over
     ``columns``. A row appearing ``k`` times contributes ``k - 1``
     surplus rows — the number ``SELECT DISTINCT`` would remove. The
     samples are the ``SAMPLE_ROWS`` most repeated rows, ties ordered by

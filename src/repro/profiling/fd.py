@@ -151,6 +151,22 @@ def value_cube(df: DataFrame,
             cube["count"].to_numpy(dtype=np.int64))
 
 
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes of a cube column's values, and its distinct non-NULL
+    values in first-seen order: ``None`` gets code ``-1``, as with
+    ``pd.factorize``.
+
+    ``pd.factorize`` itself hashes an all-string column as C strings,
+    which end at the first NUL character, so ``''`` and ``'\\x00'`` would
+    share a code; a ``dict`` compares whole Python strings.
+    """
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (-1 if v is None else index.setdefault(v, len(index))
+         for v in values), dtype=np.int64, count=len(values))
+    return codes, np.array(list(index), dtype=object)
+
+
 def pair_joints(cube: pd.DataFrame, rows: np.ndarray,
                 pairs: list[tuple[str, str]]) -> list[Joint]:
     """Each pair's joint counts, marginalized from a value cube.
@@ -160,7 +176,7 @@ def pair_joints(cube: pd.DataFrame, rows: np.ndarray,
     pair. Each column is factorized once; each pair is then one pandas
     ``groupBy`` over integer codes.
     """
-    codes = {c: pd.factorize(cube[c].to_numpy())
+    codes = {c: factorize(cube[c].to_numpy())
              for c in dict.fromkeys(c for p in pairs for c in p)}
     out: list[Joint] = []
     for a, b in pairs:

@@ -1,9 +1,10 @@
 """Reference implementations of the pipeline's table statistics.
 
 These are the earlier, direct Spark formulations: FD joint counts from
-a ``stack`` unpivot of every column pair and one ``groupBy``, and the
-duplicate-row count from a ``groupBy`` over the row's columns. The
-tests check the value cube, its fold and the one-pass row profile
+a ``stack`` unpivot of every column pair and one ``groupBy``, the
+duplicate-row count from a ``groupBy`` over the row's columns, and the
+one-pass row profile whose row key is Spark's ``to_json``. The tests
+check the value cube, its folds and the profiles derived from it
 against them.
 """
 from __future__ import annotations
@@ -12,6 +13,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.profiling import fd
+from repro.profiling.column_profile import ColumnProfile, _profiles
 
 
 def _quote(column: str) -> str:
@@ -83,3 +85,34 @@ def duplicate_rows(
 def normalized_groups(cand: fd.FDCandidate) -> dict[str, list]:
     """A candidate's violating groups, independent of row order."""
     return {k: sorted(v) for k, v in cand.groups.items()}
+
+
+def profile_rows(
+    df: DataFrame, columns: list[str],
+) -> tuple[dict[str, ColumnProfile], list[tuple[str, int]]]:
+    """Profiles without top values, and every repeated row, in one job.
+
+    ``df`` is unpivoted to ``(column, value)`` cells and one ``groupBy``
+    counts them. Besides the columns' cells, each row contributes one
+    cell holding the row itself, ``to_json(array(<columns>))``: an
+    injective key in which NULLs group together as they do in a
+    ``GROUP BY``. Only keys seen more than once leave Spark. Returns the
+    profiles (``top_k=0``) and the repeated rows as ``(key, count)``.
+    """
+    label = "__row"
+    while label in columns:
+        label = "_" + label
+    cells = [F.col(_quote(c)) for c in columns]
+    keyed = df.select(*cells, F.to_json(F.array(*cells)).alias(label))
+    counts = (
+        keyed.unpivot(ids=[], values=columns + [label],
+                      variableColumnName="__col", valueColumnName="__val")
+        .groupBy("__col", "__val").count()
+        .where((F.col("__col") != label) | (F.col("count") > 1))
+        .toPandas()
+    )
+    is_row = counts["__col"] == label
+    cols, rows = counts[~is_row], counts[is_row]
+    return (_profiles(zip(cols["__col"].tolist(), cols["__val"].tolist(),
+                          cols["count"].tolist()), columns, top_k=0),
+            list(zip(rows["__val"].tolist(), rows["count"].tolist())))

@@ -137,7 +137,8 @@ def test_dmv_cells_null_in_truth():
 
 
 def test_no_backslashes_anywhere():
-    """The portable SQL dialect cannot emit backslashes (sql_emit)."""
+    """No value needs a backslash spliced in as ``chr(92)`` (sql_emit), so
+    the benchmarks' SQL uses plain literals only."""
     for name in BENCHMARKS:
         b = bench(name)
         for df in (b.dirty, b.clean):

@@ -199,11 +199,13 @@ STAGE_A = {f"clean_{n}" for n in ("string_outliers", "pattern_outliers",
 @pytest.mark.parametrize(
     "name", ["hospital", "flights", "beers", "rayyan", "movies"])
 def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
-    """Stage A's folded frequency vectors equal the profile of the stage
-    A SQL (for every column profiled exhaustively), stage B's folded
-    joint counts equal a ``groupBy`` over it, and stage C's duplicate
-    surplus and unique ratios equal the direct statistics of the stage B
-    SQL."""
+    """The statistics folded from the input's value cube equal the
+    reference statistics of the SQL they stand for: stage A's profiles
+    equal the input's ``profile_table``, its folded frequency vectors
+    the profile of the stage A SQL (for every column profiled
+    exhaustively), stage B's joint counts a ``groupBy`` over it, and
+    stage C's unique ratios and repeated rows the direct statistics of
+    the stage A+B SQL."""
     import repro.core.pipeline as pipeline
     from repro.benchdata import load
     from repro.core.sql_emit import build_sql
@@ -220,30 +222,31 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
         return wrapper
 
     monkeypatch.setattr(fd, "pair_joints", capture("joints", fd.pair_joints))
-    monkeypatch.setattr(pipeline, "profile_table",
-                        capture("profile", pipeline.profile_table))
+    monkeypatch.setattr(pipeline, "profile_cube",
+                        capture("profile", pipeline.profile_cube))
     monkeypatch.setattr(pipeline, "domain_pairs",
                         capture("freqs", pipeline.domain_pairs))
-    monkeypatch.setattr(pipeline, "profile_rows",
-                        capture("rows", pipeline.profile_rows))
-
-    def build(view, layers, columns):
-        # the first statement built is stage C's: stage A and B layers
-        seen.setdefault("layers", list(layers))
-        return build_sql(view, layers, columns)
-
-    monkeypatch.setattr(pipeline, "build_sql", build)
+    monkeypatch.setattr(pipeline, "profile_cube_rows",
+                        capture("rows", pipeline.profile_cube_rows))
+    monkeypatch.setattr(pipeline, "build_sql",
+                        capture("sql", pipeline.build_sql))
     df = load(name).spark_dirty(spark)
     CocoonPipeline(SimulatedLLM()).clean(df, name)
 
     all_cols = df.columns
     cols = [c for c in all_cols if c != "row_id"]
+    view = f"cocoon_{name}"
     (_, _, pairs), joints = seen["joints"]
-    (df_c, _), (profs, repeated) = seen["rows"]
-    stage_a = [l for l in seen["layers"] if l.name in STAGE_A]
-    df_a = spark.sql(build_sql(f"cocoon_{name}", stage_a, all_cols))
+    _, (profs, repeated) = seen["rows"]
+    (_, layers, _), _ = seen["sql"]
+    stage_a = [l for l in layers if l.name in STAGE_A]
+    # the dedupe layers of stage C are the only non-project layers
+    stage_ab = [l for l in layers if l.kind == "project"]
+    df_a = spark.sql(build_sql(view, stage_a, all_cols))
+    df_c = spark.sql(build_sql(view, stage_ab, all_cols))
     _, profiles = seen["profile"]
     (freqs,), _ = seen["freqs"]
+    assert profiles == profile_table(df, cols)
     exhaustive = [c for c in cols
                   if profiles[c].n_distinct <= len(profiles[c].top_values)]
     assert exhaustive
@@ -253,22 +256,29 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     assert ([{(a, b): n for a, b, n in j} for j in joints]
             == [{(a, b): n for a, b, n in j}
                 for j in reference_stats.stack_joints(df_a, pairs)])
+    want_profs, want_repeated = reference_stats.profile_rows(df_c, cols)
     assert ({c: p.unique_ratio for c, p in profs.items()}
-            == {c: p.unique_ratio for c, p in
-                profile_table(df_c, cols).items()})
+            == {c: p.unique_ratio for c, p in want_profs.items()})
+    assert sorted(repeated) == sorted(want_repeated)
     assert (duplicate_rows(repeated, cols)[0]
             == reference_stats.duplicate_rows(df_c, subset=cols)[0])
 
 
-def test_planning_runs_three_spark_actions_and_caches_only_the_input(
+def test_planning_runs_one_spark_action_and_caches_only_the_input(
         spark, monkeypatch):
-    """Stage A profile, stage B value cube, stage C row profile."""
+    """One value cube of the input serves stages A, B and C, and the
+    only statement built and handed to Spark is the final one."""
     from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
 
+    import repro.core.pipeline as pipeline
     from repro.benchdata import load
 
     df = load("movies").spark_dirty(spark)
-    actions, cached = [], []
+    actions, cached, statements = [], [], []
+    monkeypatch.setattr(type(spark), "sql", lambda self, sql, _orig=type(
+        spark).sql: statements.append(sql) or _orig(self, sql))
+    monkeypatch.setattr(pipeline, "build_sql", lambda *args, _orig=(
+        pipeline.build_sql): statements.append(args) or _orig(*args))
     for name in ("collect", "count", "toPandas", "toArrow", "take", "first",
                  "head", "tail", "isEmpty", "show", "toLocalIterator",
                  "foreach", "foreachPartition"):
@@ -283,8 +293,10 @@ def test_planning_runs_three_spark_actions_and_caches_only_the_input(
             cached.append(self)
             return _orig(self, *args, **kwargs)
         monkeypatch.setattr(ClassicDataFrame, name, kept)
-    CocoonPipeline(SimulatedLLM()).clean(df, "movies")
-    assert actions == ["toPandas"] * 3
+    report = CocoonPipeline(SimulatedLLM()).clean(df, "movies")
+    assert actions == ["toPandas"]
+    assert [type(s) for s in statements] == [tuple, str]
+    assert statements[1] == report.sql
     assert cached and all(d is df for d in cached)
 
 

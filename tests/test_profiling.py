@@ -11,10 +11,11 @@ from repro.benchdata.base import to_spark_strings
 from repro.profiling import (
     ColumnProfile,
     duplicate_rows,
-    profile_rows,
+    profile_cube,
+    profile_cube_rows,
     profile_table,
 )
-from repro.profiling import column_profile
+from repro.profiling import column_profile, fd
 from tests import reference_stats
 
 
@@ -173,6 +174,12 @@ def test_profile_table_runs_one_spark_action(toy, monkeypatch):
     assert len(actions) == 1, actions
 
 
+def _cube_rows(df: DataFrame, cols: list[str]):
+    """The driver derivation of the row statistics, as the pipeline
+    makes it: :func:`profile_cube_rows` of the columns' value cube."""
+    return profile_cube_rows(*fd.value_cube(df, cols))
+
+
 def test_duplicate_rows(spark):
     pdf = pd.DataFrame({
         "row_id": ["0", "1", "2", "3"],
@@ -180,21 +187,26 @@ def test_duplicate_rows(spark):
         "b": ["1", "1", "2", "2"],
     })
     df = to_spark_strings(spark, pdf)
-    _, repeated = profile_rows(df, ["a", "b"])
+    _, repeated = _cube_rows(df, ["a", "b"])
     surplus, samples = duplicate_rows(repeated, ["a", "b"])
     assert surplus == 1
     assert samples == ["a='x', b='1' (x2)"]
-    _, repeated = profile_rows(df, df.columns)  # row_id makes rows unique
+    _, repeated = _cube_rows(df, df.columns)  # row_id makes rows unique
     assert repeated == [] and duplicate_rows(repeated, df.columns) == (0, [])
 
 
 def _assert_rows_match_reference(df, cols):
-    """``profile_rows`` against per-column profiles and the ``groupBy``
-    duplicate count: unique ratios, surplus, and samples that are the
-    most repeated rows, ties ordered by key."""
-    profs, repeated = profile_rows(df, cols)
-    assert profs == {c: replace(p, top_values=())
-                     for c, p in profile_table(df, cols).items()}
+    """The value cube's row statistics against Spark's: the profiles
+    equal ``profile_table``'s, the repeated rows equal the ``to_json``
+    row profile's byte for byte, and the samples are the most repeated
+    rows of the ``groupBy`` duplicate count, ties ordered by key."""
+    cube, rows = fd.value_cube(df, cols)
+    profs, repeated = profile_cube_rows(cube, rows)
+    want_profs, want_repeated = reference_stats.profile_rows(df, cols)
+    assert profile_cube(cube, rows) == profile_table(df, cols)
+    assert profs == want_profs == {c: replace(p, top_values=())
+                                   for c, p in profile_table(df, cols).items()}
+    assert sorted(repeated) == sorted(want_repeated)
     surplus, samples = duplicate_rows(repeated, cols)
     want, _ = reference_stats.duplicate_rows(df, subset=cols)
     _, every = reference_stats.duplicate_rows(df, subset=cols,
@@ -224,17 +236,21 @@ def test_profile_rows_matches_reference_with_duplicates(spark, monkeypatch):
     df = spark.createDataFrame(rows, "count string, __row string, c string")
     cols = ["count", "__row", "c"]
     assert _assert_rows_match_reference(df, cols) == 9
-    _, samples = duplicate_rows(profile_rows(df, cols)[1], cols)
+    _, samples = duplicate_rows(_cube_rows(df, cols)[1], cols)
     assert samples[:2] == ["count='v0', __row='n', c='0' (x3)",
                            "count='v1', __row='n', c='1' (x2)"]
     monkeypatch.setattr(column_profile, "SAMPLE_ROWS", 10)
     assert "count='v3', __row=None, c='1' (x2)" in duplicate_rows(
-        profile_rows(df, cols)[1], cols)[1]
+        _cube_rows(df, cols)[1], cols)[1]
 
 
 @pytest.mark.parametrize("rows", [
     pytest.param([(None, "a"), (None, "a"), (None, "b")], id="all-null"),
     pytest.param([], id="no-rows"),
+    # every character to_json escapes, and some it leaves alone
+    pytest.param([(v, "\x1f\\") for v in ('"q', "\b\x0b\x7f", "é😀",
+                                          '"q', None, None, "", "\x00")],
+                 id="json-escapes"),
 ])
 def test_profile_rows_edge_cases(spark, rows):
     df = spark.createDataFrame(rows, "v string, w string")

@@ -1,13 +1,16 @@
-"""Property-based tests (hypothesis) for the pure substrates."""
+"""Property-based tests (hypothesis) for the pure substrates, and for
+the driver-side statistics against Spark."""
 import string
 
 import duckdb
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import sql_emit
-from repro.core.counts import fold, fold_counts
+from repro.core.counts import FDRepair, Swap, fold, fold_counts
 from repro.llm import knowledge as kb
+from repro.profiling import fd, profile_cube, profile_cube_rows, profile_table
+from tests import reference_stats
 
 settings.register_profile("repro", max_examples=50, deadline=None)
 settings.load_profile("repro")
@@ -124,3 +127,67 @@ typo_text = st.text(alphabet="abcxİı .1", max_size=12)
 def test_edit_distance_matches_full_matrix(a, b, cap):
     for x, y in ((a, b), (a.lower(), b.lower())):
         assert kb.edit_distance(x, y, cap=cap) == min(_levenshtein(x, y), cap)
+
+
+# ---------------------------------------------------------------------------
+# the stage C fold of a value cube against Spark over the rendered SQL
+# ---------------------------------------------------------------------------
+
+#: quotes, a backslash, non-ASCII and control characters, some of which
+#: Spark's to_json escapes
+cell_text = st.text(alphabet="ab'\"\\é Ａ😀\x00\x01\n\x1f\x7f", max_size=3)
+FOLD_COLS = ["c0", "c1", "c2"]
+
+
+@st.composite
+def folded_tables(draw):
+    """A small string table with NULLs and repeated rows, and a sequence
+    of swap and FD-repair decisions over values it holds."""
+    pool = draw(st.lists(cell_text, min_size=1, max_size=4, unique=True))
+    cell = st.none() | st.sampled_from(pool)
+    rows = draw(st.lists(st.tuples(cell, cell, cell), max_size=12))
+    values = st.lists(st.sampled_from(pool), min_size=1, unique=True)
+    rewrites = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.permutations(FOLD_COLS))[:2]
+        if draw(st.booleans()):
+            rewrites.append(Swap(a, b, tuple(draw(values)),
+                                 tuple(draw(values))))
+        else:
+            rewrites.append(FDRepair(a, b, draw(st.dictionaries(
+                st.sampled_from(pool), st.sampled_from(pool), min_size=1))))
+    return rows, rewrites
+
+
+def _layer(k: int, r: Swap | FDRepair) -> sql_emit.Layer:
+    if isinstance(r, Swap):
+        return sql_emit.Layer(f"l{k}", exprs=dict(zip(
+            (r.a, r.b), sql_emit.swap_case(r))))
+    return sql_emit.Layer(f"l{k}", exprs={r.rhs: sql_emit.fd_repair_case(r)})
+
+
+@settings(max_examples=25)
+@given(folded_tables())
+# pd.factorize would give '' and '\x00' one code
+@example(([(None, "", None), (None, "\x00", None)], []))
+def test_cube_fold_matches_spark_over_the_sql(spark, table):
+    """The driver fold of swaps and FD repairs over a value cube gives
+    the profiles and repeated rows (keys byte for byte) that Spark's
+    ``to_json`` row profile gives over the rendered SQL; the unfolded
+    cube's profiles are ``profile_table``'s."""
+    rows, rewrites = table
+    df = spark.createDataFrame(rows, ", ".join(f"{c} string"
+                                               for c in FOLD_COLS))
+    df.createOrReplaceTempView("prop_fold")
+    cube, n = fd.value_cube(df, FOLD_COLS)
+    assert profile_cube(cube, n) == profile_table(df, FOLD_COLS)
+    for r in rewrites:
+        cube = r.fold(cube)
+    profs, repeated = profile_cube_rows(cube, n)
+    sql = sql_emit.build_sql(
+        "prop_fold", [_layer(k, r) for k, r in enumerate(rewrites)],
+        FOLD_COLS)
+    want_profs, want_repeated = reference_stats.profile_rows(
+        spark.sql(sql), FOLD_COLS)
+    assert profs == want_profs
+    assert sorted(repeated) == sorted(want_repeated)

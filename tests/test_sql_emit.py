@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core import sql_emit
+from repro.core.counts import FDRepair, Swap
 from repro.core.sql_emit import Layer, build_sql
 
 
@@ -26,9 +27,10 @@ def test_sql_str_escapes_quotes():
     assert sql_emit.sql_str("it's") == "'it''s'"
 
 
-def test_sql_str_rejects_backslash():
-    with pytest.raises(ValueError):
-        sql_emit.sql_str("a\\b")
+def test_sql_str_splices_backslashes():
+    assert sql_emit.sql_str("Bost\\on") == "('Bost' || chr(92) || 'on')"
+    assert (sql_emit.sql_str("\\it's\\")
+            == "('' || chr(92) || 'it''s' || chr(92) || '')")
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +70,8 @@ def test_null_case():
 
 
 def test_fd_repair_case_preserves_nulls():
-    expr = sql_emit.fd_repair_case("zip", "city", {"35233": "Birmingham"})
+    expr = sql_emit.fd_repair_case(
+        FDRepair("zip", "city", {"35233": "Birmingham"}))
     out = _duck({"city": expr}, pd.DataFrame({
         "zip": ["35233", "35233", "10001"],
         "city": ["Tucson", None, "NYC"],
@@ -78,7 +81,7 @@ def test_fd_repair_case_preserves_nulls():
 
 def test_swap_case():
     a_expr, b_expr = sql_emit.swap_case(
-        "language", "country", ["USA"], ["English"])
+        Swap("language", "country", ("USA",), ("English",)))
     out = _duck({"language": a_expr, "country": b_expr}, pd.DataFrame({
         "language": ["USA", "English", "USA"],
         "country": ["English", "USA", "France"],
@@ -176,3 +179,44 @@ def test_spark_and_duckdb_agree_on_emitted_sql(spark):
     sdf = to_spark_strings(spark, pdf)
     sdf.createOrReplaceTempView("emit_check")
     assert_equivalent(spark.sql(sql), sql, emit_check=pdf)
+
+
+def test_backslash_literals_agree_on_spark_and_duckdb(spark):
+    """A backslash in a value-map key and target, a swap ``IN`` list and
+    an FD-repair key: Spark and DuckDB read the same values, and the
+    result is what the decisions' folds compute."""
+    from repro.benchdata.base import to_spark_strings
+    from repro.core.counts import fold
+    from repro.oracle import assert_equivalent
+
+    pdf = pd.DataFrame({
+        "row_id": ["0", "1", "2", "3"],
+        "city": ["Bost\\on", "C:\\dir", "Boston", None],
+        "state": ["MA", "x\\", "Bost\\on", "MA"],
+        "zip": ["0\\2", "x", "0\\2", "0\\2"],
+    }).astype(object)
+    values = {"Bost\\on": "Boston", "Boston": "Bo\\ston"}
+    swap = Swap("city", "state", ("C:\\dir",), ("C:\\dir", "x\\"))
+    repair = FDRepair("zip", "state", {"0\\2": "M\\A"})
+    a_expr, b_expr = sql_emit.swap_case(swap)
+    layers = [
+        Layer("fixes", exprs={"city": sql_emit.value_case("city", values)}),
+        Layer("swap", exprs={"city": a_expr, "state": b_expr}),
+        Layer("fd", exprs={"state": sql_emit.fd_repair_case(repair)}),
+    ]
+    cols = ["row_id", "city", "state", "zip"]
+    sql = build_sql("emit_backslash", layers, cols)
+    to_spark_strings(spark, pdf).createOrReplaceTempView("emit_backslash")
+    got = spark.sql(sql)
+    assert_equivalent(got, sql, emit_backslash=pdf)
+    cube = pdf.assign(city=[fold(v, [values]) for v in pdf["city"]])
+    want = repair.fold(swap.fold(cube))
+    assert want.values.tolist() == [
+        ["0", "Boston", "M\\A", "0\\2"],
+        ["1", "x\\", "C:\\dir", "x"],
+        ["2", "Bo\\ston", "M\\A", "0\\2"],
+        ["3", None, "M\\A", "0\\2"],
+    ]
+    assert (sorted(map(tuple, got.toPandas().astype(object).values.tolist()))
+            == sorted(map(tuple, want.values.tolist())))
+    spark.catalog.dropTempView("emit_backslash")

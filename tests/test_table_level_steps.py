@@ -19,7 +19,7 @@ LLM = SimulatedLLM()
 
 
 def _repeated(rows, cols):
-    """``profile_rows``' repeated rows: (JSON row key, count > 1)."""
+    """``profile_cube_rows``' repeated rows: (JSON row key, count > 1)."""
     keys = Counter(json.dumps([r[c] for c in cols]) for r in rows)
     return [(k, n) for k, n in keys.items() if n > 1]
 
