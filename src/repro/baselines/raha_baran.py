@@ -24,7 +24,11 @@ The defining failure mode is preserved: open-vocabulary typo
 *correction* (Rayyan titles) has no donor and no rule, so recall stays
 low there.
 
-All repairs are emitted as the same portable SQL layers Cocoon uses and
+Planning runs one Spark job, as Cocoon's does: a value cube of the input
+(:func:`~repro.profiling.fd.value_cube`) gives every column's profile
+(its marginals) and the FD statistics of the vicinity models
+(:func:`~repro.profiling.fd.discover_fds` over the same cube). All
+repairs are emitted as the same portable SQL layers Cocoon uses and
 executed by Spark.
 """
 from __future__ import annotations
@@ -37,8 +41,15 @@ from repro.core import sql_emit
 from repro.core.counts import FDRepair, Swap
 from repro.core.sql_emit import Layer, build_sql
 from repro.llm import knowledge as kb
-from repro.profiling.column_profile import profile_table
-from repro.profiling.fd import discover_fds, violating_groups
+# profile_table is the one-job profile of a frame, which Raha+Baran no
+# longer calls; it stays importable here, where perfbench/layers.py
+# traces it
+from repro.profiling.column_profile import (  # noqa: F401
+    ColumnProfile,
+    profile_cube,
+    profile_table,
+)
+from repro.profiling.fd import discover_fds, value_cube, violating_groups
 
 #: ground-truth cells labeled for the correction models (the paper's 20)
 N_LABELS = 20
@@ -65,6 +76,17 @@ def _apply_tokens(value: str, rules: dict[str, str]) -> str:
     return " ".join(rules.get(t, t) for t in value.split(" "))
 
 
+def placeholder_values(profiles: dict[str, ColumnProfile]) -> frozenset[str]:
+    """Raha's null-pattern detector: strings recurring across >= 3
+    different columns are placeholders ("N/A", "-"). Their fake FD groups
+    are excluded from the vicinity statistics."""
+    col_sets: dict[str, set[str]] = {}
+    for c, prof in profiles.items():
+        for v, _cnt in prof.top_values:
+            col_sets.setdefault(v, set()).add(c)
+    return frozenset(v for v, cs in col_sets.items() if len(cs) >= 3)
+
+
 def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
     """Clean ``dirty`` (the Spark view of ``bench.dirty``)."""
     spark = dirty.sparkSession
@@ -82,7 +104,10 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
         rid, col, _etype = mask.iloc[int(i)]
         labels.append((rid, col, d_idx.at[rid, col], t_idx.at[rid, col]))
 
-    profiles = profile_table(dirty, cols)
+    # the one Spark job: the profiles and the FD statistics below are
+    # both reduced from this cube on the driver
+    cube, rows = value_cube(dirty, cols)
+    profiles = profile_cube(cube, rows)
     layers: list[Layer] = []
 
     # --- value models: token rules per column -------------------------
@@ -108,21 +133,29 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
     domain_layer = Layer("baran_domain_models")
     for col in cols:
         counts = profiles[col].top_values
+        lower = {v: v.lower() for v, _ in counts}
+        initial = {v: v[:1].lower() for v, _ in counts}
+        digitless = {v: kb.strip_digits(v) for v, _ in counts}
         mapping: dict[str, str] = {}
         for v, c in counts:
             donors = []
             budget = kb.typo_budget(v)
+            # counts are count-descending: donors are a prefix
             for cand, cc in counts:
-                if cand == v or cc < c * 3 or kb.digit_only_diff(v, cand):
-                    continue
+                if cc < c * 3:
+                    break
                 # cheap pre-filters before the edit distance: compatible
                 # length and (first char kept — Baran's char features
                 # weight the word start heavily)
                 if abs(len(cand) - len(v)) > budget:
                     continue
-                if v[:1].lower() != cand[:1].lower():
+                if initial[v] != initial[cand]:
                     continue
-                d = kb.edit_distance(v.lower(), cand.lower(), cap=budget + 1)
+                # values differing only in digits are distinct values
+                # (kb.digit_only_diff), not typos
+                if digitless[v] == digitless[cand]:
+                    continue
+                d = kb.edit_distance(lower[v], lower[cand], cap=budget + 1)
                 if d <= budget:
                     donors.append((d, -cc, cand))
             if donors:
@@ -166,21 +199,12 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
         layers.append(layer)
 
     # --- vicinity models: mode repair of statistical FD groups --------
-    # Raha's null-pattern detector: strings recurring across >= 3
-    # different columns are placeholders ("N/A", "-") — their fake FD
-    # groups are excluded from the vicinity statistics.
-    col_sets: dict[str, set[str]] = {}
-    for c in cols:
-        for v, _cnt in profiles[c].top_values:
-            col_sets.setdefault(v, set()).add(c)
-    placeholders = frozenset(v for v, cs in col_sets.items() if len(cs) >= 3)
-
     n_distinct = {c: profiles[c].n_distinct for c in cols}
     total = profiles[cols[0]].total
     cands = discover_fds(
-        dirty, cols, n_distinct=n_distinct, total=total,
+        cube, rows, n_distinct=n_distinct, total=total,
         max_violation_rate=0.5,
-        exclude_lhs_values=placeholders,
+        exclude_lhs_values=placeholder_values(profiles),
     )
     repaired_rhs: set[str] = set()
     for i, cand in enumerate(cands):

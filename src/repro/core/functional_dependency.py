@@ -2,11 +2,12 @@
 
 Statistical detection: entropy-ranked single-attribute FD candidates
 (:mod:`repro.profiling.fd`; the pipeline reduces them from its folded
-value cube, Raha+Baran calls ``discover_fds``). Semantic detection: the LLM
-reviews whether each statistically strong FD is meaningful. Semantic
-cleaning: the LLM maps every violating group to its true RHS value — or
-abstains when no confident majority exists (the behaviour behind the
-paper's Flights discussion). Cleaning is a per-FD ``CASE WHEN`` layer.
+value cube, Raha+Baran calls ``discover_fds`` over its own). Semantic
+detection: the LLM reviews whether each statistically strong FD is
+meaningful. Semantic cleaning: the LLM maps every violating group to
+its true RHS value — or abstains when no confident majority exists (the
+behaviour behind the paper's Flights discussion). Cleaning is a per-FD
+``CASE WHEN`` layer.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from repro.core.outcome import StepReport, TableOutcome
 from repro.core.sql_emit import Layer, fd_repair_case
 from repro.llm.client import LLMClient
 # discover_fds is this step's statistical detection as one call over a
-# frame; it stays importable here, where perfbench/layers.py traces it
+# value cube; it stays importable here, where perfbench/layers.py
+# traces it
 from repro.profiling.fd import (  # noqa: F401
     FDCandidate,
     discover_fds,

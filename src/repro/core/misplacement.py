@@ -93,7 +93,7 @@ def clean_misplacement(
     for p in pairs:
         a, b = p.a, p.b
         a_off, b_off = set(p.a_off), set(p.b_off)
-        hits = sorted(((va, vb, n) for va, vb, n in joints[a, b]
+        hits = sorted(((va, vb, n) for va, vb, n in joints[a, b].tuples()
                        if va in a_off and vb in b_off),
                       key=lambda h: (-h[2], h[0], h[1]))
         n = sum(h[2] for h in hits)

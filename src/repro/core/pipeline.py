@@ -18,14 +18,17 @@ Spark executes (and the DuckDB oracle re-executes in tests).
 
 Planning runs one Spark job, and only the input is cached: a
 :func:`~repro.profiling.fd.value_cube` of the input over every content
-column, the distinct rows with their counts. Every statistic the three
-stages read is derived from it on the driver:
+column, the distinct rows with their counts (a scan with no aggregate,
+deduplicated on the driver). Every statistic the three stages read is
+derived from it on the driver:
 
 * stage A: each column's profile is the cube's marginal
   (:func:`~repro.profiling.profile_cube`);
 * stage B: the stage A value maps are folded into the cube
   (:func:`~repro.core.counts.fold_cube`), which gives the joint counts
-  of the column-cleaned table without evaluating its SQL;
+  of the column-cleaned table without evaluating its SQL; they are
+  reduced to FD candidates on integer codes
+  (:func:`~repro.profiling.fd.fd_candidates`);
 * stage C: the stage B swaps and FD repairs fold it further, and the
   unique ratios and the duplicate rows of the repaired table are read
   from it (:func:`~repro.profiling.profile_cube_rows`).

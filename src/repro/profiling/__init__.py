@@ -1,9 +1,9 @@
 """Statistical profiling substrate (paper §2, "statistical detection").
 
-Everything here is one Spark DataFrame aggregation with a driver-side
-reduction: per-column value distributions, missing ratios and unique
-ratios from one grouped count of the cells, or from a value cube — one
-``groupBy`` over the columns, whose distinct rows also give the
+Everything here is one Spark job with a driver-side reduction:
+per-column value distributions, missing ratios and unique ratios from
+one grouped count of the cells, or from a value cube — one scan of the
+columns, deduplicated on the driver, whose distinct rows also give the
 duplicate-row statistics (:mod:`column_profile`) — and entropy-based
 single-attribute functional-dependency discovery from that value cube
 (:mod:`fd`, after Beskales et al. as cited by the paper §2.1.6). The

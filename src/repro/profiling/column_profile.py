@@ -15,13 +15,15 @@ same code:
   ``groupBy`` counts them. The counts are collected through Arrow and
   everything else is derived on the driver: a count-distinct per column
   would make Spark add an ``Expand`` and a two-level aggregate, and a
-  top-K window a second shuffle. It suits callers that need no rows.
+  top-K window a second shuffle. It suits callers that need no rows
+  and no FD statistics (RetClean).
 * :func:`profile_cube` marginalizes a value cube
   (:func:`repro.profiling.fd.value_cube`: the distinct rows and their
-  counts), which Cocoon collects once and folds through its cleaning
-  decisions on the driver. :func:`profile_cube_rows` also finds the
-  cube's exactly duplicated rows (§2.1.7), which :func:`duplicate_rows`
-  summarizes.
+  counts, one scan deduplicated on the driver). Cocoon collects it once
+  and folds it through its cleaning decisions on the driver; Raha+Baran
+  reads its FD statistics from the same cube. :func:`profile_cube_rows`
+  also finds a cube's exactly duplicated rows (§2.1.7), which
+  :func:`duplicate_rows` summarizes.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.profiling.fd import factorize
+from repro.profiling.fd import distinct_rows, factorize
 
 #: top values kept per column; a column with more distinct values skips
 #: the cleaning steps that need an exhaustive value list
@@ -162,12 +164,7 @@ def profile_cube_rows(
     ``(key, count)``, the key being the row's :func:`_row_key`.
     """
     columns = list(cube.columns)
-    codes = np.column_stack([factorize(cube[c].to_numpy())[0]
-                             for c in columns])
-    _, first, inverse = np.unique(codes, axis=0, return_index=True,
-                                  return_inverse=True)
-    n = np.bincount(inverse.reshape(-1), weights=rows,
-                    minlength=len(first)).astype(np.int64)
+    first, n = distinct_rows(cube, rows)
     values = cube.to_numpy(dtype=object)
     repeated = [(_row_key(values[first[k]]), int(n[k]))
                 for k in np.flatnonzero(n > 1)]

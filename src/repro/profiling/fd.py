@@ -6,31 +6,38 @@ entropy ``H(B|A) = H(A,B) - H(A)`` (the entropy measurement of Beskales
 et al. the paper cites): ``0`` means the FD holds exactly; small values
 mean a few violating groups.
 
-:func:`discover_fds` prunes the pair lattice (:func:`candidate_pairs`)
-and composes three parts:
+Every statistic is reduced from a value cube, the table's distinct rows
+and their counts:
 
-1. :func:`value_cube`: **one** Spark aggregation, a ``groupBy`` over
-   every candidate column with a row count, collected through Arrow.
-   It has at most one row per input row, however many pairs there are.
+1. :func:`value_cube`: **one** Spark scan and no aggregate. The columns
+   are collected through Arrow, each is dictionary-encoded on the
+   driver (:func:`factorize`) and the rows are deduplicated on their
+   integer codes (:func:`distinct_rows`).
 2. :func:`pair_joints`: each pair's joint counts, marginalized from the
-   cube on the driver with vectorized pandas/numpy (rows with a NULL on
-   either side dropped). ``H(A,B)`` is symmetric, so one pair's joint
-   counts serve both directions.
-3. :func:`fd_candidates`: the reduction to candidates, with exactly
-   rounded sums (:func:`math.fsum`), so the result does not depend on
-   row order: mathematically tied candidates get bit-equal ratios and
-   are ordered by ``(lhs, rhs)``.
+   cube on integer codes (rows with a NULL on either side dropped).
+   ``H(A,B)`` is symmetric, so one pair's :class:`Joint` serves both
+   directions.
+3. :func:`fd_candidates`: the reduction to candidates on integer codes:
+   marginals, group maxima and violating groups are ``bincount`` and
+   ``maximum.at`` reductions, and strings are only looked up for an
+   accepted candidate's groups. Entropies are exactly rounded sums
+   (:func:`math.fsum`), so the result does not depend on row order:
+   mathematically tied candidates get bit-equal ratios and are ordered
+   by ``(lhs, rhs)``.
 
-``CocoonPipeline`` calls the parts itself: it builds the cube over the
-input table and folds the stage A cleaning into it before
-marginalizing. Each candidate carries its violating groups, which
-:func:`violating_groups` formats for the repair prompt without another
-Spark job.
+:func:`discover_fds` composes :func:`candidate_pairs` (the pruned pair
+lattice), :func:`pair_joints` and :func:`fd_candidates` over a cube;
+Raha+Baran calls it with the cube it also profiles from.
+``CocoonPipeline`` calls the parts itself: it folds the stage A
+cleaning into its cube before marginalizing. Each candidate carries its
+violating groups, which :func:`violating_groups` formats for the repair
+prompt without another Spark job.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import pandas as pd
@@ -38,8 +45,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 Groups = dict[str, list[tuple[str, int]]]
-#: a column pair's joint counts: (a value, b value, rows), no NULLs
-Joint = list[tuple[str, str, int]]
 
 #: a column with more distinct values is too near-unique to be an LHS
 #: and too high-cardinality to be an RHS
@@ -67,51 +72,94 @@ class FDCandidate:
     groups: Groups = field(default_factory=dict, repr=False, compare=False)
 
 
-def _entropy(counts: list[int]) -> float:
-    n = sum(counts)
+@dataclass(frozen=True, eq=False)
+class Joint:
+    """A column pair's joint counts, NULLs dropped: one entry per
+    distinct ``(a, b)`` value pair, as codes into each column's values."""
+
+    a: np.ndarray
+    b: np.ndarray
+    rows: np.ndarray
+    #: the distinct values ``a`` and ``b`` index
+    a_values: np.ndarray
+    b_values: np.ndarray
+
+    def swapped(self) -> Joint:
+        """The same counts as a ``(b, a)`` joint, entries in this order."""
+        return Joint(self.b, self.a, self.rows, self.b_values, self.a_values)
+
+    def tuples(self) -> list[tuple[str, str, int]]:
+        """Every entry as ``(a value, b value, rows)``."""
+        return list(zip(self.a_values[self.a].tolist(),
+                        self.b_values[self.b].tolist(), self.rows.tolist()))
+
+
+def _entropy(counts: np.ndarray | list[int]) -> float:
+    """Entropy of a distribution given by its counts; zeros are skipped.
+
+    Each distinct count's term is computed once and repeated by its
+    multiplicity. :func:`math.fsum` is exactly rounded, so the result is
+    the sum over every count, bit for bit, in any order.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    values, mult = np.unique(counts[counts > 0], return_counts=True)
+    n = int(values @ mult)
     if n == 0:
         return 0.0
-    return -math.fsum((c / n) * math.log2(c / n) for c in counts if c)
+    return -math.fsum(t for c, m in zip(values.tolist(), mult.tolist())
+                      for t in repeat((c / n) * math.log2(c / n), m))
 
 
 def _quote(column: str) -> str:
     return "`" + column.replace("`", "``") + "`"
 
 
+def _sums(codes: np.ndarray, rows: np.ndarray | None,
+          size: int) -> np.ndarray:
+    """Per code, the sum of its ``rows`` (with none, its count)."""
+    # float sums of integer counts are exact below 2**53 rows
+    return np.bincount(codes, weights=rows, minlength=size).astype(np.int64)
+
+
 def _candidate(
-    lhs: str, rhs: str, joint: list[tuple[str, str, int]], *,
+    lhs: str, rhs: str, joint: Joint, *,
     max_violation_rate: float,
     exclude_lhs_values: frozenset[str] | None,
 ) -> FDCandidate | None:
-    """``lhs -> rhs`` from its joint counts ``(lhs value, rhs value, n)``."""
+    """``lhs -> rhs`` from its joint counts, ``lhs`` being ``joint.a``."""
+    ca, cb, rows = joint.a, joint.b, joint.rows
+    size = len(joint.a_values)
     if exclude_lhs_values:
         # placeholder LHS values create fake groups
-        joint = [j for j in joint if j[0] not in exclude_lhs_values]
-    if not joint:
+        excluded = np.fromiter(
+            (v in exclude_lhs_values for v in joint.a_values.tolist()),
+            dtype=bool, count=size)
+        keep = ~excluded[ca]
+        ca, cb, rows = ca[keep], cb[keep], rows[keep]
+    # an LHS group with more than one RHS value violates the FD
+    violating = np.bincount(ca, minlength=size) > 1
+    if not violating.any():
         return None
-    marg_a: dict[str, int] = {}
-    marg_b: dict[str, int] = {}
-    groups: Groups = {}
-    for va, vb, c in joint:
-        marg_a[va] = marg_a.get(va, 0) + c
-        marg_b[vb] = marg_b.get(vb, 0) + c
-        groups.setdefault(va, []).append((vb, c))
-    n = sum(marg_a.values())
-    h_a = _entropy(list(marg_a.values()))
-    h_b = _entropy(list(marg_b.values()))
-    h_ab = _entropy([c for _, _, c in joint])
-    cond = max(0.0, h_ab - h_a)
+    marg_a = _sums(ca, rows, size)
+    top = np.zeros(size, dtype=np.int64)
+    np.maximum.at(top, ca, rows)
+    n = int(marg_a.sum())
+    cond = max(0.0, _entropy(rows) - _entropy(marg_a))
+    h_b = _entropy(_sums(cb, rows, len(joint.b_values)))
     # normalize by H(B): an FD over a high-cardinality RHS tolerates
     # more absolute conditional entropy from its dirty violations
     ratio = cond / h_b if h_b > 0 else 0.0
-    violating = {k: v for k, v in groups.items() if len(v) > 1}
-    viol_rows = sum(sum(c for _, c in v) - max(c for _, c in v)
-                    for v in violating.values())
-    rate = viol_rows / n if n else 0.0
-    if violating and ratio <= MAX_ENTROPY_RATIO and rate <= max_violation_rate:
-        return FDCandidate(lhs, rhs, cond, ratio, rate, len(violating),
-                           violating)
-    return None
+    rate = int((marg_a - top).sum()) / n
+    if ratio > MAX_ENTROPY_RATIO or rate > max_violation_rate:
+        return None
+    hit = violating[ca]
+    groups: Groups = {}
+    for va, vb, c in zip(joint.a_values[ca[hit]].tolist(),
+                         joint.b_values[cb[hit]].tolist(),
+                         rows[hit].tolist()):
+        groups.setdefault(va, []).append((vb, c))
+    return FDCandidate(lhs, rhs, cond, ratio, rate, int(violating.sum()),
+                       groups)
 
 
 def candidate_pairs(
@@ -130,27 +178,6 @@ def candidate_pairs(
     return [(a, b) for i, a in enumerate(cand) for b in cand[i + 1:]]
 
 
-def value_cube(df: DataFrame,
-               columns: list[str]) -> tuple[pd.DataFrame, np.ndarray]:
-    """Every distinct combination of ``columns``' values and its rows.
-
-    One Spark ``groupBy`` collected through Arrow. Returns the
-    combinations (values cast to string, NULL as ``None``) as a pandas
-    frame with ``columns`` as its columns, and their row counts. The
-    Spark columns are named by position, so a data column called
-    ``count`` cannot collide with the count.
-    """
-    keys = [f"_{i}" for i in range(len(columns))]
-    cube = (
-        df.select(*[F.col(_quote(c)).cast("string").alias(k)
-                    for c, k in zip(columns, keys)])
-        .groupBy(*keys).count()
-        .toPandas()
-    )
-    return (cube[keys].set_axis(columns, axis=1),
-            cube["count"].to_numpy(dtype=np.int64))
-
-
 def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer codes of a cube column's values, and its distinct non-NULL
     values in first-seen order: ``None`` gets code ``-1``, as with
@@ -167,14 +194,51 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, np.array(list(index), dtype=object)
 
 
+def distinct_rows(frame: pd.DataFrame, weights: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``frame``'s distinct rows, NULLs equal to each other: the index
+    of each one's first row, and its number of rows (or the sum of
+    their ``weights``).
+
+    Each column is factorized once and the rows are deduplicated on
+    their codes; the distinct rows come in the order of their codes.
+    """
+    codes = np.column_stack([factorize(col.to_numpy())[0]
+                             for _, col in frame.items()])
+    _, first, inverse = np.unique(codes, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first, _sums(inverse.reshape(-1), weights, len(first))
+
+
+def value_cube(df: DataFrame,
+               columns: list[str]) -> tuple[pd.DataFrame, np.ndarray]:
+    """Every distinct combination of ``columns``' values and its rows.
+
+    One Spark scan and no aggregate: the columns, cast to string, are
+    collected through Arrow and the driver deduplicates the rows
+    (:func:`distinct_rows`). A Spark ``groupBy`` would deduplicate
+    little (a table's rows are mostly distinct) at the cost of
+    compiling a wide aggregate. Returns the combinations (NULL as
+    ``None``) as a pandas frame with ``columns`` as its columns, and
+    their row counts. The Spark columns are named by position, so any
+    column name is safe.
+    """
+    keys = [f"_{i}" for i in range(len(columns))]
+    table = df.select(*[F.col(_quote(c)).cast("string").alias(k)
+                        for c, k in zip(columns, keys)]).toPandas()
+    first, rows = distinct_rows(table)
+    return (table.iloc[first].set_axis(columns, axis=1)
+            .reset_index(drop=True), rows)
+
+
 def pair_joints(cube: pd.DataFrame, rows: np.ndarray,
                 pairs: list[tuple[str, str]]) -> list[Joint]:
     """Each pair's joint counts, marginalized from a value cube.
 
     ``cube`` and ``rows`` are as :func:`value_cube` returns them. A cube
     row with a NULL in either column of a pair is dropped from that
-    pair. Each column is factorized once; each pair is then one pandas
-    ``groupBy`` over integer codes.
+    pair. Each column is factorized once; each pair's entries are its
+    distinct code pairs, in code order.
     """
     codes = {c: factorize(cube[c].to_numpy())
              for c in dict.fromkeys(c for p in pairs for c in p)}
@@ -182,13 +246,11 @@ def pair_joints(cube: pd.DataFrame, rows: np.ndarray,
     for a, b in pairs:
         (ca, ua), (cb, ub) = codes[a], codes[b]
         keep = (ca >= 0) & (cb >= 0)
-        joint = (pd.Series(rows[keep])
-                 .groupby(ca[keep].astype(np.int64) * len(ub) + cb[keep])
-                 .sum())
-        key = joint.index.to_numpy()
-        out.append(list(zip(ua[key // len(ub)].tolist(),
-                            ub[key % len(ub)].tolist(),
-                            joint.tolist())))
+        width = max(len(ub), 1)
+        key, inverse = np.unique(ca[keep] * width + cb[keep],
+                                 return_inverse=True)
+        out.append(Joint(key // width, key % width,
+                         _sums(inverse, rows[keep], len(key)), ua, ub))
     return out
 
 
@@ -207,9 +269,8 @@ def fd_candidates(
     """
     out: list[FDCandidate] = []
     for (a, b), joint in zip(pairs, joints):
-        for lhs, rhs, rows in ((a, b, joint),
-                               (b, a, [(vb, va, c) for va, vb, c in joint])):
-            fd = _candidate(lhs, rhs, rows,
+        for lhs, rhs, j in ((a, b, joint), (b, a, joint.swapped())):
+            fd = _candidate(lhs, rhs, j,
                             max_violation_rate=max_violation_rate,
                             exclude_lhs_values=exclude_lhs_values)
             if fd is not None:
@@ -219,24 +280,23 @@ def fd_candidates(
 
 
 def discover_fds(
-    df: DataFrame,
-    columns: list[str],
+    cube: pd.DataFrame,
+    rows: np.ndarray,
     *,
     n_distinct: dict[str, int],
     total: int,
     max_violation_rate: float = 0.45,
     exclude_lhs_values: frozenset[str] | None = None,
 ) -> list[FDCandidate]:
-    """Find statistically strong FD candidates among ``columns``.
+    """Find statistically strong FD candidates among a value cube's
+    columns, without a Spark job.
 
-    :func:`candidate_pairs`, then :func:`value_cube` over their columns,
-    :func:`pair_joints` and :func:`fd_candidates`.
+    ``cube`` and ``rows`` are as :func:`value_cube` returns them.
+    :func:`candidate_pairs`, then :func:`pair_joints` and
+    :func:`fd_candidates`.
     """
-    pairs = candidate_pairs(columns, n_distinct=n_distinct, total=total)
-    if not pairs:
-        return []
-    cube, rows = value_cube(df, list(dict.fromkeys(c for p in pairs
-                                                   for c in p)))
+    pairs = candidate_pairs(list(cube.columns), n_distinct=n_distinct,
+                            total=total)
     return fd_candidates(pairs, pair_joints(cube, rows, pairs),
                          max_violation_rate=max_violation_rate,
                          exclude_lhs_values=exclude_lhs_values)

@@ -146,6 +146,39 @@ def test_raha_baran_is_deterministic(spark):
                                   c.reset_index(drop=True))
 
 
+def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch):
+    """One value cube of the input serves the profiles and the FD
+    statistics: one ``toPandas``, nothing cached, and the only statement
+    handed to Spark is the final one."""
+    from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
+
+    b = load("hospital")
+    df = b.spark_dirty(spark)
+    actions, cached, statements, built = [], [], [], []
+    monkeypatch.setattr(type(spark), "sql", lambda self, sql, _orig=type(
+        spark).sql: statements.append(sql) or _orig(self, sql))
+    monkeypatch.setattr(raha_baran, "build_sql", lambda *args, _orig=(
+        raha_baran.build_sql): built.append(_orig(*args)) or built[-1])
+    for name in ("collect", "count", "toPandas", "toArrow", "take", "first",
+                 "head", "tail", "isEmpty", "show", "toLocalIterator",
+                 "foreach", "foreachPartition"):
+        def counted(self, *args, _name=name,
+                    _orig=getattr(ClassicDataFrame, name), **kwargs):
+            actions.append(_name)
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(ClassicDataFrame, name, counted)
+    for name in ("cache", "persist"):
+        def kept(self, *args, _orig=getattr(ClassicDataFrame, name),
+                 **kwargs):
+            cached.append(self)
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(ClassicDataFrame, name, kept)
+    raha_baran_clean(b, df)
+    assert actions == ["toPandas"]
+    assert cached == []
+    assert len(built) == 1 and statements == built
+
+
 # ---------------------------------------------------------------------------
 # CleanAgent
 # ---------------------------------------------------------------------------

@@ -79,6 +79,6 @@ def test_folded_joint_equals_sql_groupby(spark):
     }
     cube, n = fd.value_cube(df, ["zip", "city"])
     (joint,) = fd.pair_joints(fold_cube(cube, maps), n, [("zip", "city")])
-    assert {(a, b): c for a, b, c in joint} == want == {
+    assert {(a, b): c for a, b, c in joint.tuples()} == want == {
         ("35233", "Birmingham"): 3, ("10001", "NYC"): 1}
     spark.catalog.dropTempView("fold_src")

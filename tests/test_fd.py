@@ -6,7 +6,12 @@ from pyspark.sql import functions as F
 
 from repro.benchdata.base import to_spark_strings
 from repro.profiling import fd
-from repro.profiling.fd import _entropy, discover_fds, violating_groups
+from repro.profiling.fd import _entropy, violating_groups
+
+
+def _discover(df, columns, **kw):
+    """``discover_fds`` over the value cube of ``df``'s ``columns``."""
+    return fd.discover_fds(*fd.value_cube(df, columns), **kw)
 
 
 def test_entropy_math():
@@ -35,9 +40,9 @@ def fd_frame(spark):
 
 def test_discover_fd_finds_zip_city(fd_frame):
     _pdf, df = fd_frame
-    cands = discover_fds(df, ["zip", "city", "noise"],
-                         n_distinct={"zip": 3, "city": 5, "noise": 7},
-                         total=60)
+    cands = _discover(df, ["zip", "city", "noise"],
+                      n_distinct={"zip": 3, "city": 5, "noise": 7},
+                      total=60)
     pairs = {(c.lhs, c.rhs) for c in cands}
     assert ("zip", "city") in pairs
     zc = next(c for c in cands if (c.lhs, c.rhs) == ("zip", "city"))
@@ -48,9 +53,9 @@ def test_discover_fd_finds_zip_city(fd_frame):
 
 def test_discover_fd_skips_random_pairs(fd_frame):
     _pdf, df = fd_frame
-    cands = discover_fds(df, ["zip", "city", "noise"],
-                         n_distinct={"zip": 3, "city": 5, "noise": 7},
-                         total=60)
+    cands = _discover(df, ["zip", "city", "noise"],
+                      n_distinct={"zip": 3, "city": 5, "noise": 7},
+                      total=60)
     pairs = {(c.lhs, c.rhs) for c in cands}
     assert ("noise", "city") not in pairs
     assert ("zip", "noise") not in pairs
@@ -64,30 +69,30 @@ def test_discover_fd_exact_fd_not_a_candidate(spark):
         "b": ["1", "1", "2", "2"] * 2,
     })
     df = to_spark_strings(spark, pdf)
-    cands = discover_fds(df, ["a", "b"], n_distinct={"a": 2, "b": 2},
-                         total=8)
+    cands = _discover(df, ["a", "b"], n_distinct={"a": 2, "b": 2},
+                      total=8)
     assert cands == []
 
 
 def test_discover_fd_prunes_high_cardinality(fd_frame, monkeypatch):
     _pdf, df = fd_frame
     monkeypatch.setattr(fd, "MAX_DISTINCT", 2)
-    cands = discover_fds(df, ["zip", "city"],
-                         n_distinct={"zip": 3, "city": 5}, total=60)
+    cands = _discover(df, ["zip", "city"],
+                      n_distinct={"zip": 3, "city": 5}, total=60)
     assert cands == []
 
 
 def test_discover_fd_exclude_lhs_values(fd_frame):
     _pdf, df = fd_frame
-    cands = discover_fds(df, ["zip", "city"],
-                         n_distinct={"zip": 3, "city": 5}, total=60,
-                         exclude_lhs_values=frozenset({"35233"}))
+    cands = _discover(df, ["zip", "city"],
+                      n_distinct={"zip": 3, "city": 5}, total=60,
+                      exclude_lhs_values=frozenset({"35233"}))
     assert cands == []  # the only violating group was excluded
 
 
 def _zip_city(df, **kw):
-    cands = discover_fds(df, ["zip", "city"], n_distinct={"zip": 3, "city": 5},
-                         total=60, **kw)
+    cands = _discover(df, ["zip", "city"], n_distinct={"zip": 3, "city": 5},
+                      total=60, **kw)
     return next(c for c in cands if (c.lhs, c.rhs) == ("zip", "city"))
 
 
@@ -151,9 +156,9 @@ def many_groups(spark):
 def test_violating_groups_match_groupby_reference(many_groups, monkeypatch,
                                                   exclude, max_groups):
     df = many_groups
-    cands = discover_fds(df, ["zip", "city"],
-                         n_distinct={"zip": 8, "city": 7}, total=151,
-                         exclude_lhs_values=exclude or None)
+    cands = _discover(df, ["zip", "city"],
+                      n_distinct={"zip": 8, "city": 7}, total=151,
+                      exclude_lhs_values=exclude or None)
     cand = next(c for c in cands if (c.lhs, c.rhs) == ("zip", "city"))
     want = _reference_groups(df, "zip", "city", exclude=exclude,
                              max_groups=max_groups)
@@ -178,9 +183,9 @@ def test_one_to_one_lhs_columns_tie_exactly(spark):
     pdf = pd.DataFrame(rows)
     pdf.insert(0, "row_id", [str(i) for i in range(len(pdf))])
     df = to_spark_strings(spark, pdf).repartition(7)
-    cands = discover_fds(df, ["key", "code", "name"],
-                         n_distinct={"key": 40, "code": 40, "name": 40},
-                         total=len(pdf))
+    cands = _discover(df, ["key", "code", "name"],
+                      n_distinct={"key": 40, "code": 40, "name": 40},
+                      total=len(pdf))
     to_name = [c for c in cands if c.rhs == "name"]
     assert [(c.lhs, c.rhs) for c in to_name] == [("code", "name"),
                                                  ("key", "name")]
@@ -192,8 +197,8 @@ def test_one_to_one_lhs_columns_tie_exactly(spark):
 def test_discover_fds_leaves_catalog_unchanged(spark, fd_frame):
     _pdf, df = fd_frame
     before = sorted(t.name for t in spark.catalog.listTables())
-    discover_fds(df, ["zip", "city", "noise"],
-                 n_distinct={"zip": 3, "city": 5, "noise": 7}, total=60)
+    _discover(df, ["zip", "city", "noise"],
+              n_distinct={"zip": 3, "city": 5, "noise": 7}, total=60)
     assert sorted(t.name for t in spark.catalog.listTables()) == before
 
 
@@ -223,7 +228,7 @@ def test_discover_fds_matches_stack_reference(spark, name):
     assert pairs and len(cube) <= df.count()
     assert (_joint_dicts(fd.pair_joints(cube, rows, pairs))
             == _joint_dicts(stack_joints(df, pairs)))
-    got = discover_fds(df, cols, **kw)
+    got = _discover(df, cols, **kw)
     want = stack_discover_fds(df, cols, **kw)
     assert got == want
     assert ([normalized_groups(c) for c in got]
@@ -231,7 +236,10 @@ def test_discover_fds_matches_stack_reference(spark, name):
 
 
 def _joint_dicts(joints):
-    return [{(a, b): n for a, b, n in j} for j in joints]
+    """Joints, as ``fd.pair_joints`` or the reference returns them, as
+    ``{(a, b): rows}`` dicts."""
+    return [{(a, b): n for a, b, n in (
+        j.tuples() if isinstance(j, fd.Joint) else j)} for j in joints]
 
 
 def test_value_cube_column_named_count(spark):
@@ -260,8 +268,8 @@ def test_pair_joints_drop_nulls_all_null_column_and_empty_pair(spark):
     cube, rows = fd.value_cube(df, ["x", "empty", "y"])
     got = fd.pair_joints(cube, rows, pairs)
     assert _joint_dicts(got) == _joint_dicts(stack_joints(df, pairs))
-    assert got[1:] == [[], []]
-    assert sorted(got[0]) == [("a", "p", 1), ("b", "q", 1)]
+    assert [j.tuples() for j in got[1:]] == [[], []]
+    assert sorted(got[0].tuples()) == [("a", "p", 1), ("b", "q", 1)]
     assert fd.fd_candidates(pairs, got) == []
 
 
@@ -269,6 +277,96 @@ def test_value_cube_of_no_rows(spark):
     df = spark.createDataFrame([], "x string, y string")
     cube, rows = fd.value_cube(df, ["x", "y"])
     assert len(cube) == len(rows) == 0
-    assert fd.pair_joints(cube, rows, [("x", "y")]) == [[]]
-    assert discover_fds(df, ["x", "y"], n_distinct={"x": 2, "y": 2},
-                        total=10) == []
+    assert [j.tuples() for j in fd.pair_joints(cube, rows, [("x", "y")])
+            ] == [[]]
+    assert _discover(df, ["x", "y"], n_distinct={"x": 2, "y": 2},
+                     total=10) == []
+
+
+# ---------------------------------------------------------------------------
+# the driver-side cube and the code-based reduction against the
+# replaced Spark groupBy and string-tuple loop
+# ---------------------------------------------------------------------------
+
+def _cube_multiset(cube, rows):
+    """A value cube as a multiset of ``(row, count)``, NULL as ``None``."""
+    out = {}
+    for row, n in zip(cube.itertuples(index=False, name=None),
+                      rows.tolist()):
+        out[row] = out.get(row, 0) + n
+    return out
+
+
+def _assert_cube_matches_groupby(df, columns):
+    from tests.reference_stats import groupby_value_cube
+
+    cube, rows = fd.value_cube(df, columns)
+    assert list(cube.columns) == columns
+    assert rows.dtype == np.int64 and len(rows) == len(cube)
+    got = _cube_multiset(cube, rows)
+    assert len(got) == len(cube)  # the rows are distinct
+    assert got == _cube_multiset(*groupby_value_cube(df, columns))
+
+
+@pytest.mark.parametrize(
+    "name", ["hospital", "flights", "beers", "rayyan", "movies"])
+def test_value_cube_matches_groupby_reference(spark, name):
+    from repro.benchdata import load
+
+    df = load(name).spark_dirty(spark)
+    _assert_cube_matches_groupby(df, [c for c in df.columns
+                                      if c != "row_id"])
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [("a", None), ("a", None), ("b", None)],  # an all-NULL column
+    [("", "x"), ("\x00", "x"), ("", "x"), (None, "x")],
+    [("x", "1")] * 5 + [("y", "1")] * 2 + [(None, None)] * 3,
+], ids=["no_rows", "all_null_column", "empty_vs_nul", "repeated_rows"])
+def test_value_cube_edge_cases_match_groupby_reference(spark, rows):
+    df = spark.createDataFrame(rows, "x string, count string")
+    _assert_cube_matches_groupby(df, ["x", "count"])
+    _assert_cube_matches_groupby(df, ["count"])
+
+
+@pytest.fixture(scope="module")
+def bench_joints(spark):
+    """Per benchmark: the candidate pairs of its input, their joints
+    and Raha+Baran's placeholder values."""
+    from repro.baselines.raha_baran import placeholder_values
+    from repro.benchdata import load
+    from repro.profiling import profile_cube
+
+    out = {}
+    for name in ("hospital", "flights", "beers", "rayyan", "movies"):
+        df = load(name).spark_dirty(spark)
+        cols = [c for c in df.columns if c != "row_id"]
+        cube, rows = fd.value_cube(df, cols)
+        profs = profile_cube(cube, rows)
+        pairs = fd.candidate_pairs(
+            cols, n_distinct={c: p.n_distinct for c, p in profs.items()},
+            total=profs[cols[0]].total)
+        out[name] = (pairs, fd.pair_joints(cube, rows, pairs),
+                     placeholder_values(profs))
+    return out
+
+
+@pytest.mark.parametrize("rate", [0.45, 0.5])
+@pytest.mark.parametrize("exclude", [False, True],
+                         ids=["no_exclusion", "placeholders"])
+@pytest.mark.parametrize(
+    "name", ["hospital", "flights", "beers", "rayyan", "movies"])
+def test_fd_candidates_match_list_reference(bench_joints, name, exclude,
+                                            rate):
+    """Bit-equal entropies and ratios, and equal groups (order
+    included), as the loop over string tuples computes them."""
+    from tests.reference_stats import list_fd_candidates
+
+    pairs, joints, placeholders = bench_joints[name]
+    kw = dict(max_violation_rate=rate,
+              exclude_lhs_values=placeholders if exclude else None)
+    got = fd.fd_candidates(pairs, joints, **kw)
+    want = list_fd_candidates(pairs, [j.tuples() for j in joints], **kw)
+    assert got == want
+    assert [c.groups for c in got] == [c.groups for c in want]

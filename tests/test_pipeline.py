@@ -203,9 +203,10 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     reference statistics of the SQL they stand for: stage A's profiles
     equal the input's ``profile_table``, its folded frequency vectors
     the profile of the stage A SQL (for every column profiled
-    exhaustively), stage B's joint counts a ``groupBy`` over it, and
-    stage C's unique ratios and repeated rows the direct statistics of
-    the stage A+B SQL."""
+    exhaustively), stage B's joint counts (misplacement's pairs
+    included) a ``groupBy`` over it and its FD candidates the reference
+    reduction of those counts, and stage C's unique ratios and repeated
+    rows the direct statistics of the stage A+B SQL."""
     import repro.core.pipeline as pipeline
     from repro.benchdata import load
     from repro.core.sql_emit import build_sql
@@ -222,6 +223,8 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
         return wrapper
 
     monkeypatch.setattr(fd, "pair_joints", capture("joints", fd.pair_joints))
+    monkeypatch.setattr(fd, "fd_candidates",
+                        capture("cands", fd.fd_candidates))
     monkeypatch.setattr(pipeline, "profile_cube",
                         capture("profile", pipeline.profile_cube))
     monkeypatch.setattr(pipeline, "domain_pairs",
@@ -253,9 +256,16 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     assert ({c: freqs[c] for c in exhaustive}
             == {c: p.top_values
                 for c, p in profile_table(df_a, exhaustive).items()})
-    assert ([{(a, b): n for a, b, n in j} for j in joints]
-            == [{(a, b): n for a, b, n in j}
-                for j in reference_stats.stack_joints(df_a, pairs)])
+    want_joints = reference_stats.stack_joints(df_a, pairs)
+    assert ([{(a, b): n for a, b, n in j.tuples()} for j in joints]
+            == [{(a, b): n for a, b, n in j} for j in want_joints])
+    (fd_pairs, _), cands = seen["cands"]
+    by_pair = dict(zip(pairs, want_joints))
+    want_cands = reference_stats.list_fd_candidates(
+        fd_pairs, [by_pair[p] for p in fd_pairs])
+    assert cands == want_cands
+    assert ([reference_stats.normalized_groups(c) for c in cands]
+            == [reference_stats.normalized_groups(c) for c in want_cands])
     want_profs, want_repeated = reference_stats.profile_rows(df_c, cols)
     assert ({c: p.unique_ratio for c, p in profs.items()}
             == {c: p.unique_ratio for c, p in want_profs.items()})

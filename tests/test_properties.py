@@ -174,12 +174,19 @@ def test_cube_fold_matches_spark_over_the_sql(spark, table):
     """The driver fold of swaps and FD repairs over a value cube gives
     the profiles and repeated rows (keys byte for byte) that Spark's
     ``to_json`` row profile gives over the rendered SQL; the unfolded
-    cube's profiles are ``profile_table``'s."""
+    cube equals the Spark ``groupBy`` cube (as a multiset of rows and
+    counts) and its profiles are ``profile_table``'s."""
     rows, rewrites = table
     df = spark.createDataFrame(rows, ", ".join(f"{c} string"
                                                for c in FOLD_COLS))
     df.createOrReplaceTempView("prop_fold")
     cube, n = fd.value_cube(df, FOLD_COLS)
+    ref_cube, ref_n = reference_stats.groupby_value_cube(df, FOLD_COLS)
+    assert (sorted(zip(map(repr, cube.itertuples(index=False, name=None)),
+                       n.tolist()))
+            == sorted(zip(map(repr, ref_cube.itertuples(index=False,
+                                                        name=None)),
+                          ref_n.tolist())))
     assert profile_cube(cube, n) == profile_table(df, FOLD_COLS)
     for r in rewrites:
         cube = r.fold(cube)

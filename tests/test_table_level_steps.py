@@ -6,6 +6,9 @@ pipeline appends."""
 import json
 from collections import Counter
 
+import numpy as np
+import pandas as pd
+
 from repro.core import StepReport
 from repro.core.duplication import clean_duplication
 from repro.core.misplacement import (
@@ -14,6 +17,7 @@ from repro.core.misplacement import (
     domain_pairs,
 )
 from repro.llm import SimulatedLLM
+from repro.profiling import fd
 
 LLM = SimulatedLLM()
 
@@ -25,10 +29,12 @@ def _repeated(rows, cols):
 
 
 def _joints(rows, pairs):
-    """Each pair's joint counts ``(a value, b value, n)``."""
-    return {(p.a, p.b): [(va, vb, n) for (va, vb), n in
-                         Counter((r[p.a], r[p.b]) for r in rows).items()]
-            for p in pairs}
+    """Each pair's joint counts, marginalized from the rows as from a
+    value cube whose rows each count once."""
+    keys = [(p.a, p.b) for p in pairs]
+    cube = pd.DataFrame(rows).astype(object)
+    return dict(zip(keys, fd.pair_joints(
+        cube, np.ones(len(cube), dtype=np.int64), keys)))
 
 
 def _misplacement(rows, counts, llm=LLM):
