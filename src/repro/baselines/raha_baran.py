@@ -106,8 +106,8 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
 
     # the one Spark job: the profiles and the FD statistics below are
     # both reduced from this cube on the driver
-    cube, rows = value_cube(dirty, cols)
-    profiles = profile_cube(cube, rows)
+    cube = value_cube(dirty, cols)
+    profiles = profile_cube(cube)
     layers: list[Layer] = []
 
     # --- value models: token rules per column -------------------------
@@ -189,20 +189,15 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
         )
         if not a_off or not b_off:
             continue
-        a_expr, b_expr = sql_emit.swap_case(
-            Swap(a, b, tuple(a_off), tuple(b_off)))
-        layer = Layer(f"baran_swap_{k}")
-        layer.exprs[a] = a_expr
-        layer.exprs[b] = b_expr
-        layer.comments.append(
-            f"swap rule learned from labels: {a} <-> {b}")
-        layers.append(layer)
+        cases = sql_emit.swap_case(Swap(a, b, tuple(a_off), tuple(b_off)))
+        layers.append(Layer(
+            f"baran_swap_{k}", exprs=dict(zip((a, b), cases)),
+            comments=[f"swap rule learned from labels: {a} <-> {b}"]))
 
     # --- vicinity models: mode repair of statistical FD groups --------
     n_distinct = {c: profiles[c].n_distinct for c in cols}
-    total = profiles[cols[0]].total
     cands = discover_fds(
-        cube, rows, n_distinct=n_distinct, total=total,
+        cube, n_distinct=n_distinct, total=int(cube.rows.sum()),
         max_violation_rate=0.5,
         exclude_lhs_values=placeholder_values(profiles),
     )
@@ -225,13 +220,12 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
                 mapping[key] = mode
         if mapping:
             repaired_rhs.add(cand.rhs)
-            layer = Layer(f"baran_vicinity_{i}")
-            layer.exprs[cand.rhs] = sql_emit.fd_repair_case(
-                FDRepair(cand.lhs, cand.rhs, mapping))
-            layer.comments.append(
-                f"vicinity model {cand.lhs} -> {cand.rhs}: mode repair of "
-                f"{len(mapping)} groups")
-            layers.append(layer)
+            repair = FDRepair(cand.lhs, cand.rhs, mapping)
+            layers.append(Layer(
+                f"baran_vicinity_{i}",
+                exprs={cand.rhs: sql_emit.fd_repair_case(repair)},
+                comments=[f"vicinity model {cand.lhs} -> {cand.rhs}: mode "
+                          f"repair of {len(mapping)} groups"]))
 
     view = f"raha_baran_{bench.name}"
     dirty.createOrReplaceTempView(view)

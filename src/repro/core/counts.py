@@ -8,11 +8,13 @@ implemented by these updates, not by re-scanning the table after every
 step.
 
 Table-level statistics are folded the same way: each column's stage A
-value maps are kept in layer order, and :func:`fold_cube` passes a
-value cube of the input through them, which gives the cube of the
-column-cleaned table without evaluating its SQL. The table-level row
-rewrites, misplacement's :class:`Swap` and the FD step's
-:class:`FDRepair`, fold the cube further, to the repaired table. Each
+value maps are kept in layer order, and :func:`fold_cube` passes the
+input's coded value cube (:class:`~repro.profiling.fd.Cube`) through
+them, which gives the cube of the column-cleaned table without
+evaluating its SQL. The table-level row rewrites, misplacement's
+:class:`Swap` and the FD step's :class:`FDRepair`, fold the cube
+further, to the repaired table. A fold selects rows on their codes and
+rewrites a column's distinct values, never the rows' strings. Each
 decision is one value that :mod:`repro.core.sql_emit` renders as a SQL
 layer and that folds the cube as that layer rewrites rows.
 """
@@ -21,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
-from repro.profiling.fd import factorize
+from repro.profiling.fd import Cube, isin
 
 Counts = tuple[tuple[str, int], ...]
 #: one step's decision for one column, and the SQL layer that applies
@@ -52,19 +53,19 @@ def fold(value: str | None, maps: list[ValueMap]) -> str | None:
     return value
 
 
-def fold_cube(cube: pd.DataFrame,
-              maps: dict[str, list[ValueMap]]) -> pd.DataFrame:
+def fold_cube(cube: Cube, maps: dict[str, list[ValueMap]]) -> Cube:
     """``cube`` with every column's values folded through its maps.
 
-    Each distinct value is folded once. Cube rows that become equal are
-    not merged: their counts add up when the cube is marginalized.
+    Each column's distinct values are folded, once each, and its codes
+    follow them (:meth:`~repro.profiling.fd.Cube.recoded`). Cube rows
+    that become equal are not merged: their counts add up when the cube
+    is marginalized.
     """
-    out = {}
-    for c in cube.columns:
-        codes, uniques = factorize(cube[c].to_numpy())
-        folded = [fold(v, maps.get(c, [])) for v in uniques] + [None]
-        out[c] = np.array(folded, dtype=object)[codes]
-    return pd.DataFrame(out, columns=cube.columns)
+    return cube.recoded({
+        c: (codes, np.array([fold(v, maps[c]) for v in values.tolist()],
+                            dtype=object))
+        for c, codes, values in zip(cube.columns, cube.codes.T, cube.values)
+        if maps.get(c)})
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,16 @@ class Swap:
     a_off: tuple[str, ...]
     b_off: tuple[str, ...]
 
-    def fold(self, cube: pd.DataFrame) -> pd.DataFrame:
-        """``cube`` with the swap applied; NULL is in neither list."""
-        a, b = cube[self.a].to_numpy(), cube[self.b].to_numpy()
-        hit = (cube[self.a].isin(self.a_off).to_numpy()
-               & cube[self.b].isin(self.b_off).to_numpy())
-        out = cube.copy()
-        out[self.a], out[self.b] = np.where(hit, b, a), np.where(hit, a, b)
-        return out
+    def fold(self, cube: Cube) -> Cube:
+        """``cube`` with the swap applied; NULL is in neither list. Each
+        column's values are extended by the other's, which its swapped
+        rows' codes then index."""
+        (ca, va), (cb, vb) = cube.column(self.a), cube.column(self.b)
+        hit = isin(va, self.a_off)[ca] & isin(vb, self.b_off)[cb]
+        return cube.recoded({
+            self.a: (np.where(hit, len(va) + cb, ca), np.append(va, vb)),
+            self.b: (np.where(hit, len(vb) + ca, cb), np.append(vb, va)),
+        })
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,15 @@ class FDRepair:
     #: LHS value -> the group's true RHS value
     mapping: dict[str, str]
 
-    def fold(self, cube: pd.DataFrame) -> pd.DataFrame:
+    def fold(self, cube: Cube) -> Cube:
         """``cube`` with the repair applied; a NULL LHS matches no
-        group and a NULL RHS stays NULL."""
-        new = cube[self.lhs].map(self.mapping).to_numpy()
-        rhs = cube[self.rhs].to_numpy()
-        hit = pd.notna(new) & pd.notna(rhs)
-        out = cube.copy()
-        out[self.rhs] = np.where(hit, new, rhs)
-        return out
+        group and a NULL RHS stays NULL. The RHS values are extended by
+        each LHS value's repair (``None`` for none), which a repaired
+        row's code then indexes by its LHS code."""
+        (cl, vl), (cr, vr) = cube.column(self.lhs), cube.column(self.rhs)
+        new = np.array([self.mapping.get(v) for v in vl.tolist()],
+                       dtype=object)
+        hit = isin(vl, self.mapping)[cl] & (cr >= 0)
+        return cube.recoded({
+            self.rhs: (np.where(hit, len(vr) + cl, cr),
+                       np.append(vr, new))})

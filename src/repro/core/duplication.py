@@ -26,7 +26,9 @@ def clean_duplication(
     """``repeated`` is :func:`~repro.profiling.profile_cube_rows`' list
     of repeated rows over ``content_cols``."""
     surplus, samples = duplicate_rows(repeated, content_cols)
-    if surplus == 0:
+    # rows with no content column differ only in their row_id: none of
+    # them duplicates another's content
+    if surplus == 0 or not content_cols:
         return TableOutcome((), (StepReport(
             "duplication", None, False, "no duplicate rows"),))
     review = llm.review_duplication(table, surplus, samples)

@@ -18,16 +18,19 @@ Spark executes (and the DuckDB oracle re-executes in tests).
 
 Planning runs one Spark job, and only the input is cached: a
 :func:`~repro.profiling.fd.value_cube` of the input over every content
-column, the distinct rows with their counts (a scan with no aggregate,
-deduplicated on the driver). Every statistic the three stages read is
-derived from it on the driver:
+column, one :class:`~repro.profiling.fd.Cube` (a scan with no
+aggregate): the distinct rows with their counts, each column coded once
+into integer codes over its distinct values. Every statistic the three
+stages read is derived from those codes on the driver, and no pass
+codes a column's rows again:
 
 * stage A: each column's profile is the cube's marginal
-  (:func:`~repro.profiling.profile_cube`);
-* stage B: the stage A value maps are folded into the cube
-  (:func:`~repro.core.counts.fold_cube`), which gives the joint counts
-  of the column-cleaned table without evaluating its SQL; they are
-  reduced to FD candidates on integer codes
+  (:func:`~repro.profiling.profile_cube`), and the row count is the sum
+  of the cube's counts;
+* stage B: the stage A value maps are folded into each column's
+  distinct values (:func:`~repro.core.counts.fold_cube`), which gives
+  the joint counts of the column-cleaned table without evaluating its
+  SQL; they are reduced to FD candidates on integer codes
   (:func:`~repro.profiling.fd.fd_candidates`);
 * stage C: the stage B swaps and FD repairs fold it further, and the
   unique ratios and the duplicate rows of the repaired table are read
@@ -36,10 +39,14 @@ derived from it on the driver:
 SQL is built and handed to Spark once, for the final statement.
 
 The input table must be all-string columns plus a ``row_id`` surrogate
-key — the CSV-benchmark shape the paper evaluates on.
+key — the CSV-benchmark shape the paper evaluates on. The table is
+registered as the view ``cocoon_<name>``, the name lower-cased and every
+character outside ``[a-z0-9_]`` replaced by ``_``, so that any name
+gives a portable SQL identifier.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
@@ -89,7 +96,7 @@ class CocoonPipeline:
 
     def clean(self, df: DataFrame, table_name: str = "data") -> CleanReport:
         spark = df.sparkSession
-        view = f"cocoon_{table_name}"
+        view = "cocoon_" + re.sub(r"[^a-z0-9_]", "_", table_name.lower())
         df = df.cache()
         df.createOrReplaceTempView(view)
         all_cols = list(df.columns)
@@ -109,25 +116,26 @@ class CocoonPipeline:
         )
         step_layers = {name: Layer(f"clean_{name}") for name, _ in steps}
         counts_by_col: dict[str, tuple[tuple[str, int], ...]] = {}
+        # each column's distinct values after stage A, TOP_K + 1 when
+        # they were not all profiled (too many for an FD side)
+        n_distinct: dict[str, int] = {}
         maps: dict[str, list[counts_util.ValueMap]] = {c: [] for c in cols}
-        covered: dict[str, bool] = {}
         # planning's one Spark job: every statistic below is derived
         # from this cube on the driver
-        cube, rows = fd.value_cube(df, cols)
-        profiles = profile_cube(cube, rows)
-        total = profiles[cols[0]].total
+        cube = fd.value_cube(df, cols)
+        profiles = profile_cube(cube)
 
         for c in cols:
             prof = profiles[c]
             counts = prof.top_values
-            covered[c] = prof.n_distinct <= len(counts)
+            covered = prof.n_distinct <= len(counts)
             kwargs = {}
             for name, step in steps:
                 if name == "column_type":
                     # Counted once, after the DMV step: the numeric step
                     # gets the same figure, so it skips a column whose
                     # renderings the type step merged.
-                    kwargs["n_distinct"] = (len(counts) if covered[c]
+                    kwargs["n_distinct"] = (len(counts) if covered
                                             else prof.n_distinct)
                 out = step(c, counts, self.llm, **kwargs)
                 report.steps.append(
@@ -140,6 +148,7 @@ class CocoonPipeline:
                 counts = counts_util.fold_counts(counts, out.values)
                 maps[c].append(out.values)
             counts_by_col[c] = counts
+            n_distinct[c] = len(counts) if covered else TOP_K + 1
 
         layers = [l for l in step_layers.values() if l.exprs]
 
@@ -148,16 +157,12 @@ class CocoonPipeline:
         # Swaps come first: misplacement is a row-local structural fix,
         # and FD group repairs would otherwise overwrite the swap
         # evidence in the repaired column.
-        n_distinct = {
-            c: (len(counts_by_col[c]) if covered[c] else TOP_K + 1)
-            for c in cols
-        }
         fd_pairs = fd.candidate_pairs(cols, n_distinct=n_distinct,
-                                      total=total)
+                                      total=int(cube.rows.sum()))
         swaps = domain_pairs(counts_by_col)
         pairs = list(dict.fromkeys(fd_pairs + [(p.a, p.b) for p in swaps]))
         cube = counts_util.fold_cube(cube, maps)
-        joints = dict(zip(pairs, fd.pair_joints(cube, rows, pairs)))
+        joints = dict(zip(pairs, fd.pair_joints(cube, pairs)))
         for out in (clean_misplacement(swaps, joints, self.llm),
                     clean_fds(fd.fd_candidates(
                         fd_pairs, [joints[p] for p in fd_pairs]),
@@ -169,7 +174,7 @@ class CocoonPipeline:
 
         # ---- stage C: duplication and uniqueness over repaired data,
         # from the cube folded through stages A and B
-        col_profiles, repeated = profile_cube_rows(cube, rows)
+        col_profiles, repeated = profile_cube_rows(cube)
         for out in (clean_duplication(table_name, cols, repeated, self.llm),
                     clean_uniqueness(cols, {
                         c: p.unique_ratio for c, p in col_profiles.items()},

@@ -18,12 +18,13 @@ same code:
   top-K window a second shuffle. It suits callers that need no rows
   and no FD statistics (RetClean).
 * :func:`profile_cube` marginalizes a value cube
-  (:func:`repro.profiling.fd.value_cube`: the distinct rows and their
-  counts, one scan deduplicated on the driver). Cocoon collects it once
-  and folds it through its cleaning decisions on the driver; Raha+Baran
+  (:class:`repro.profiling.fd.Cube`: the distinct rows and their counts,
+  one scan coded once and deduplicated on the driver) with a
+  ``bincount`` of each column's codes. Cocoon collects it once and
+  folds it through its cleaning decisions on the driver; Raha+Baran
   reads its FD statistics from the same cube. :func:`profile_cube_rows`
-  also finds a cube's exactly duplicated rows (§2.1.7), which
-  :func:`duplicate_rows` summarizes.
+  also finds a cube's exactly duplicated rows (§2.1.7) over its code
+  matrix, which :func:`duplicate_rows` summarizes.
 """
 from __future__ import annotations
 
@@ -33,11 +34,10 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.profiling.fd import distinct_rows, factorize
+from repro.profiling.fd import Cube, distinct_rows
 
 #: top values kept per column; a column with more distinct values skips
 #: the cleaning steps that need an exhaustive value list
@@ -118,25 +118,22 @@ def profile_table(df: DataFrame,
                          counts["count"].tolist()), columns, TOP_K)
 
 
-def _cube_cells(cube: pd.DataFrame, rows: np.ndarray
-                ) -> Iterator[tuple[str, str | None, int]]:
-    """Each column's marginal of a value cube, as ``_profiles`` cells."""
-    for c in cube.columns:
-        codes, uniques = factorize(cube[c].to_numpy())
+def _cube_cells(cube: Cube) -> Iterator[tuple[str, str | None, int]]:
+    """Each column's marginal of a value cube, as ``_profiles`` cells:
+    a ``bincount`` of its codes; a value no row holds is left out."""
+    for c, codes, values in zip(cube.columns, cube.codes.T, cube.values):
         # float sums of integer counts are exact below 2**53 rows
-        n = np.bincount(codes + 1, weights=rows,
-                        minlength=len(uniques) + 1).astype(np.int64)
+        n = np.bincount(codes + 1, weights=cube.rows,
+                        minlength=len(values) + 1).astype(np.int64)
         yield c, None, int(n[0])
-        yield from ((c, v, k) for v, k in zip(uniques.tolist(),
-                                              n[1:].tolist()))
+        yield from ((c, v, k) for v, k in zip(values.tolist(),
+                                              n[1:].tolist()) if k)
 
 
-def profile_cube(cube: pd.DataFrame,
-                 rows: np.ndarray) -> dict[str, ColumnProfile]:
-    """Every column's profile from a value cube and its row counts, as
-    :func:`repro.profiling.fd.value_cube` returns them; equal to
+def profile_cube(cube: Cube) -> dict[str, ColumnProfile]:
+    """Every column's profile from a value cube; equal to
     :func:`profile_table` of the table the cube counts."""
-    return _profiles(_cube_cells(cube, rows), list(cube.columns), TOP_K)
+    return _profiles(_cube_cells(cube), cube.columns, TOP_K)
 
 
 #: how Spark's ``to_json`` escapes a string's characters: the short
@@ -154,21 +151,22 @@ def _row_key(values: Iterable[str | None]) -> str:
 
 
 def profile_cube_rows(
-    cube: pd.DataFrame, rows: np.ndarray,
+    cube: Cube,
 ) -> tuple[dict[str, ColumnProfile], list[tuple[str, int]]]:
     """Profiles without top values, and every repeated row, of a cube.
 
     The cube's rows need not be distinct (a folded cube's are not):
-    equal rows, NULLs included, add up their counts. Returns the
-    profiles (``top_k=0``) and the rows counted more than once as
+    rows with equal codes, NULLs included, add up their counts. Returns
+    the profiles (``top_k=0``) and the rows counted more than once as
     ``(key, count)``, the key being the row's :func:`_row_key`.
     """
-    columns = list(cube.columns)
-    first, n = distinct_rows(cube, rows)
-    values = cube.to_numpy(dtype=object)
-    repeated = [(_row_key(values[first[k]]), int(n[k]))
-                for k in np.flatnonzero(n > 1)]
-    return _profiles(_cube_cells(cube, rows), columns, top_k=0), repeated
+    codes, n = distinct_rows(cube.codes, cube.rows)
+    repeated = [
+        (_row_key(None if k < 0 else values[k]
+                  for values, k in zip(cube.values, codes[i].tolist())),
+         int(n[i]))
+        for i in np.flatnonzero(n > 1)]
+    return _profiles(_cube_cells(cube), cube.columns, top_k=0), repeated
 
 
 def duplicate_rows(repeated: list[tuple[str, int]],

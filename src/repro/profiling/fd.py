@@ -7,14 +7,16 @@ et al. the paper cites): ``0`` means the FD holds exactly; small values
 mean a few violating groups.
 
 Every statistic is reduced from a value cube, the table's distinct rows
-and their counts:
+and their counts, dictionary-encoded as one :class:`Cube`:
 
 1. :func:`value_cube`: **one** Spark scan and no aggregate. The columns
-   are collected through Arrow, each is dictionary-encoded on the
-   driver (:func:`factorize`) and the rows are deduplicated on their
-   integer codes (:func:`distinct_rows`).
+   are collected through Arrow; :meth:`Cube.of` codes each one once
+   (:func:`factorize`) and deduplicates the rows on their integer codes
+   (:func:`distinct_rows`). Every later pass reads these codes: a fold
+   that rewrites values factorizes only the column's distinct values
+   (:meth:`Cube.recoded`), never its rows again.
 2. :func:`pair_joints`: each pair's joint counts, marginalized from the
-   cube on integer codes (rows with a NULL on either side dropped).
+   cube's codes (rows with a NULL on either side dropped).
    ``H(A,B)`` is symmetric, so one pair's :class:`Joint` serves both
    directions.
 3. :func:`fd_candidates`: the reduction to candidates on integer codes:
@@ -36,6 +38,7 @@ prompt without another Spark job.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -131,10 +134,7 @@ def _candidate(
     size = len(joint.a_values)
     if exclude_lhs_values:
         # placeholder LHS values create fake groups
-        excluded = np.fromiter(
-            (v in exclude_lhs_values for v in joint.a_values.tolist()),
-            dtype=bool, count=size)
-        keep = ~excluded[ca]
+        keep = ~isin(joint.a_values, exclude_lhs_values)[ca]
         ca, cb, rows = ca[keep], cb[keep], rows[keep]
     # an LHS group with more than one RHS value violates the FD
     violating = np.bincount(ca, minlength=size) > 1
@@ -179,7 +179,7 @@ def candidate_pairs(
 
 
 def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer codes of a cube column's values, and its distinct non-NULL
+    """Integer codes of an array's values, and its distinct non-NULL
     values in first-seen order: ``None`` gets code ``-1``, as with
     ``pd.factorize``.
 
@@ -194,63 +194,103 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, np.array(list(index), dtype=object)
 
 
-def distinct_rows(frame: pd.DataFrame, weights: np.ndarray | None = None
+def isin(values: np.ndarray, keep: Iterable[str]) -> np.ndarray:
+    """Per distinct value of a column, whether it is in ``keep``, plus
+    a last ``False`` for NULL's ``-1``: indexed by the column's codes,
+    it marks the rows that hold one of ``keep``."""
+    keep = set(keep)
+    return np.array([v in keep for v in values.tolist()] + [False])
+
+
+def distinct_rows(codes: np.ndarray, weights: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``frame``'s distinct rows, NULLs equal to each other: the index
-    of each one's first row, and its number of rows (or the sum of
-    their ``weights``).
+    """A code matrix's distinct rows, in code order, and each one's
+    number of rows (or the sum of their ``weights``)."""
+    unique, inverse = np.unique(codes, axis=0, return_inverse=True)
+    return unique, _sums(inverse.reshape(-1), weights, len(unique))
 
-    Each column is factorized once and the rows are deduplicated on
-    their codes; the distinct rows come in the order of their codes.
+
+@dataclass(frozen=True, eq=False)
+class Cube:
+    """A value cube: a table's distinct rows and their row counts,
+    dictionary-encoded.
+
+    ``values[j]`` holds column ``j``'s distinct values, and
+    ``codes[i, j]`` is row ``i``'s code in that column: an index into
+    ``values[j]``, or ``-1`` for NULL. A column's values are distinct
+    and never NULL, so equal rows have equal codes. A fold may leave a
+    value that no row holds; marginals skip it.
     """
-    codes = np.column_stack([factorize(col.to_numpy())[0]
-                             for _, col in frame.items()])
-    _, first, inverse = np.unique(codes, axis=0, return_index=True,
-                                  return_inverse=True)
-    return first, _sums(inverse.reshape(-1), weights, len(first))
+
+    columns: list[str]
+    values: list[np.ndarray]
+    codes: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, frame: pd.DataFrame) -> Cube:
+        """The cube of a frame's rows (NULL as ``None``): each column is
+        factorized once and the rows are deduplicated on their codes."""
+        codes = np.empty(frame.shape, dtype=np.int64)
+        values = []
+        for j, (_, col) in enumerate(frame.items()):
+            codes[:, j], uniques = factorize(col.to_numpy())
+            values.append(uniques)
+        return cls(list(frame.columns), values, *distinct_rows(codes))
+
+    def column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """A column's codes and its distinct values."""
+        j = self.columns.index(name)
+        return self.codes[:, j], self.values[j]
+
+    def recoded(self, changes: dict[str, tuple[np.ndarray, np.ndarray]]
+                ) -> Cube:
+        """This cube with the named columns' codes and values replaced.
+
+        The new values may repeat and may hold ``None``: they are
+        factorized (a pass over the values, not the rows) and the codes
+        remapped, so each distinct value keeps one code and ``None``
+        becomes NULL. Rows that become equal are not merged.
+        """
+        codes, values = self.codes.copy(), list(self.values)
+        for name, (col_codes, col_values) in changes.items():
+            j = self.columns.index(name)
+            remap, values[j] = factorize(col_values)
+            codes[:, j] = np.append(remap, -1)[col_codes]
+        return Cube(self.columns, values, codes, self.rows)
 
 
-def value_cube(df: DataFrame,
-               columns: list[str]) -> tuple[pd.DataFrame, np.ndarray]:
+def value_cube(df: DataFrame, columns: list[str]) -> Cube:
     """Every distinct combination of ``columns``' values and its rows.
 
     One Spark scan and no aggregate: the columns, cast to string, are
-    collected through Arrow and the driver deduplicates the rows
-    (:func:`distinct_rows`). A Spark ``groupBy`` would deduplicate
-    little (a table's rows are mostly distinct) at the cost of
-    compiling a wide aggregate. Returns the combinations (NULL as
-    ``None``) as a pandas frame with ``columns`` as its columns, and
-    their row counts. The Spark columns are named by position, so any
-    column name is safe.
+    collected through Arrow and the driver codes and deduplicates them
+    (:meth:`Cube.of`). A Spark ``groupBy`` would deduplicate little (a
+    table's rows are mostly distinct) at the cost of compiling a wide
+    aggregate. The Spark columns are named by position, so any column
+    name is safe.
     """
-    keys = [f"_{i}" for i in range(len(columns))]
-    table = df.select(*[F.col(_quote(c)).cast("string").alias(k)
-                        for c, k in zip(columns, keys)]).toPandas()
-    first, rows = distinct_rows(table)
-    return (table.iloc[first].set_axis(columns, axis=1)
-            .reset_index(drop=True), rows)
+    table = df.select(*[F.col(_quote(c)).cast("string").alias(f"_{i}")
+                        for i, c in enumerate(columns)]).toPandas()
+    return Cube.of(table.set_axis(columns, axis=1))
 
 
-def pair_joints(cube: pd.DataFrame, rows: np.ndarray,
-                pairs: list[tuple[str, str]]) -> list[Joint]:
-    """Each pair's joint counts, marginalized from a value cube.
+def pair_joints(cube: Cube, pairs: list[tuple[str, str]]) -> list[Joint]:
+    """Each pair's joint counts, marginalized from a value cube's codes.
 
-    ``cube`` and ``rows`` are as :func:`value_cube` returns them. A cube
-    row with a NULL in either column of a pair is dropped from that
-    pair. Each column is factorized once; each pair's entries are its
-    distinct code pairs, in code order.
+    A cube row with a NULL in either column of a pair is dropped from
+    that pair. Each pair's entries are its distinct code pairs, in code
+    order.
     """
-    codes = {c: factorize(cube[c].to_numpy())
-             for c in dict.fromkeys(c for p in pairs for c in p)}
     out: list[Joint] = []
     for a, b in pairs:
-        (ca, ua), (cb, ub) = codes[a], codes[b]
+        (ca, ua), (cb, ub) = cube.column(a), cube.column(b)
         keep = (ca >= 0) & (cb >= 0)
         width = max(len(ub), 1)
         key, inverse = np.unique(ca[keep] * width + cb[keep],
                                  return_inverse=True)
         out.append(Joint(key // width, key % width,
-                         _sums(inverse, rows[keep], len(key)), ua, ub))
+                         _sums(inverse, cube.rows[keep], len(key)), ua, ub))
     return out
 
 
@@ -280,8 +320,7 @@ def fd_candidates(
 
 
 def discover_fds(
-    cube: pd.DataFrame,
-    rows: np.ndarray,
+    cube: Cube,
     *,
     n_distinct: dict[str, int],
     total: int,
@@ -291,13 +330,11 @@ def discover_fds(
     """Find statistically strong FD candidates among a value cube's
     columns, without a Spark job.
 
-    ``cube`` and ``rows`` are as :func:`value_cube` returns them.
     :func:`candidate_pairs`, then :func:`pair_joints` and
     :func:`fd_candidates`.
     """
-    pairs = candidate_pairs(list(cube.columns), n_distinct=n_distinct,
-                            total=total)
-    return fd_candidates(pairs, pair_joints(cube, rows, pairs),
+    pairs = candidate_pairs(cube.columns, n_distinct=n_distinct, total=total)
+    return fd_candidates(pairs, pair_joints(cube, pairs),
                          max_violation_rate=max_violation_rate,
                          exclude_lhs_values=exclude_lhs_values)
 

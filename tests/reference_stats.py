@@ -46,6 +46,14 @@ def groupby_value_cube(df: DataFrame, columns: list[str]
             cube["count"].to_numpy(dtype=np.int64))
 
 
+def cube_rows(cube: fd.Cube) -> list[tuple[tuple[str | None, ...], int]]:
+    """A coded cube's rows, decoded to their values (NULL as ``None``),
+    with their counts."""
+    return [(tuple(None if k < 0 else values[k]
+                   for values, k in zip(cube.values, row)), n)
+            for row, n in zip(cube.codes.tolist(), cube.rows.tolist())]
+
+
 def stack_joints(df: DataFrame,
                  pairs: list[tuple[str, str]]) -> list[TupleJoint]:
     """Each pair's joint counts over ``df``, NULLs dropped: one row per

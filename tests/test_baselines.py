@@ -148,13 +148,18 @@ def test_raha_baran_is_deterministic(spark):
 
 def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch):
     """One value cube of the input serves the profiles and the FD
-    statistics: one ``toPandas``, nothing cached, and the only statement
-    handed to Spark is the final one."""
+    statistics: one ``toPandas``, nothing cached, each content column's
+    rows coded once, and the only statement handed to Spark is the
+    final one."""
     from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
+
+    from repro.profiling import fd
 
     b = load("hospital")
     df = b.spark_dirty(spark)
-    actions, cached, statements, built = [], [], [], []
+    actions, cached, statements, built, coded = [], [], [], [], []
+    monkeypatch.setattr(fd, "factorize", lambda values, _orig=(
+        fd.factorize): coded.append(len(values)) or _orig(values))
     monkeypatch.setattr(type(spark), "sql", lambda self, sql, _orig=type(
         spark).sql: statements.append(sql) or _orig(self, sql))
     monkeypatch.setattr(raha_baran, "build_sql", lambda *args, _orig=(
@@ -176,6 +181,7 @@ def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch):
     raha_baran_clean(b, df)
     assert actions == ["toPandas"]
     assert cached == []
+    assert coded.count(len(b.dirty)) == len(df.columns) - 1
     assert len(built) == 1 and statements == built
 
 

@@ -50,8 +50,8 @@ def test_fold_null_stays_null():
 
 
 def test_fold_cube_of_no_rows():
-    cube = pd.DataFrame({"a": pd.Series([], dtype=object)})
-    assert len(fold_cube(cube, {"a": [{"x": "y"}]})) == 0
+    cube = fd.Cube.of(pd.DataFrame({"a": pd.Series([], dtype=object)}))
+    assert len(fold_cube(cube, {"a": [{"x": "y"}]}).rows) == 0
 
 
 def test_folded_joint_equals_sql_groupby(spark):
@@ -77,8 +77,8 @@ def test_folded_joint_equals_sql_groupby(spark):
                                               ["zip", "city"]))
         .dropna().groupBy("zip", "city").count().collect()
     }
-    cube, n = fd.value_cube(df, ["zip", "city"])
-    (joint,) = fd.pair_joints(fold_cube(cube, maps), n, [("zip", "city")])
+    cube = fd.value_cube(df, ["zip", "city"])
+    (joint,) = fd.pair_joints(fold_cube(cube, maps), [("zip", "city")])
     assert {(a, b): c for a, b, c in joint.tuples()} == want == {
         ("35233", "Birmingham"): 3, ("10001", "NYC"): 1}
     spark.catalog.dropTempView("fold_src")

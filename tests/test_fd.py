@@ -11,7 +11,7 @@ from repro.profiling.fd import _entropy, violating_groups
 
 def _discover(df, columns, **kw):
     """``discover_fds`` over the value cube of ``df``'s ``columns``."""
-    return fd.discover_fds(*fd.value_cube(df, columns), **kw)
+    return fd.discover_fds(fd.value_cube(df, columns), **kw)
 
 
 def test_entropy_math():
@@ -223,10 +223,10 @@ def test_discover_fds_matches_stack_reference(spark, name):
     kw = dict(n_distinct={c: p.n_distinct for c, p in profs.items()},
               total=profs[cols[0]].total)
     pairs = fd.candidate_pairs(cols, **kw)
-    cube, rows = fd.value_cube(df, list(dict.fromkeys(
+    cube = fd.value_cube(df, list(dict.fromkeys(
         c for p in pairs for c in p)))
-    assert pairs and len(cube) <= df.count()
-    assert (_joint_dicts(fd.pair_joints(cube, rows, pairs))
+    assert pairs and len(cube.rows) <= df.count()
+    assert (_joint_dicts(fd.pair_joints(cube, pairs))
             == _joint_dicts(stack_joints(df, pairs)))
     got = _discover(df, cols, **kw)
     want = stack_discover_fds(df, cols, **kw)
@@ -248,12 +248,14 @@ def test_value_cube_column_named_count(spark):
     df = spark.createDataFrame(
         [("x", "1"), ("x", "1"), ("y", "2"), ("y", None)],
         "count string, n string")
-    cube, rows = fd.value_cube(df, ["count", "n"])
+    from tests.reference_stats import cube_rows
+
+    cube = fd.value_cube(df, ["count", "n"])
     assert list(cube.columns) == ["count", "n"]
-    assert sorted(zip(cube["count"], cube["n"].fillna("-"), rows)) == [
+    assert sorted((a, b or "-", n) for (a, b), n in cube_rows(cube)) == [
         ("x", "1", 2), ("y", "-", 1), ("y", "2", 1)]
     pairs = [("count", "n"), ("n", "count")]
-    assert (_joint_dicts(fd.pair_joints(cube, rows, pairs))
+    assert (_joint_dicts(fd.pair_joints(cube, pairs))
             == _joint_dicts(stack_joints(df, pairs)))
 
 
@@ -265,8 +267,8 @@ def test_pair_joints_drop_nulls_all_null_column_and_empty_pair(spark):
          (None, None, "q")],
         "x string, empty string, y string")
     pairs = [("x", "y"), ("x", "empty"), ("empty", "y")]
-    cube, rows = fd.value_cube(df, ["x", "empty", "y"])
-    got = fd.pair_joints(cube, rows, pairs)
+    cube = fd.value_cube(df, ["x", "empty", "y"])
+    got = fd.pair_joints(cube, pairs)
     assert _joint_dicts(got) == _joint_dicts(stack_joints(df, pairs))
     assert [j.tuples() for j in got[1:]] == [[], []]
     assert sorted(got[0].tuples()) == [("a", "p", 1), ("b", "q", 1)]
@@ -275,10 +277,9 @@ def test_pair_joints_drop_nulls_all_null_column_and_empty_pair(spark):
 
 def test_value_cube_of_no_rows(spark):
     df = spark.createDataFrame([], "x string, y string")
-    cube, rows = fd.value_cube(df, ["x", "y"])
-    assert len(cube) == len(rows) == 0
-    assert [j.tuples() for j in fd.pair_joints(cube, rows, [("x", "y")])
-            ] == [[]]
+    cube = fd.value_cube(df, ["x", "y"])
+    assert len(cube.codes) == len(cube.rows) == 0
+    assert [j.tuples() for j in fd.pair_joints(cube, [("x", "y")])] == [[]]
     assert _discover(df, ["x", "y"], n_distinct={"x": 2, "y": 2},
                      total=10) == []
 
@@ -288,24 +289,25 @@ def test_value_cube_of_no_rows(spark):
 # replaced Spark groupBy and string-tuple loop
 # ---------------------------------------------------------------------------
 
-def _cube_multiset(cube, rows):
-    """A value cube as a multiset of ``(row, count)``, NULL as ``None``."""
+def _cube_multiset(rows):
+    """``(row, count)`` pairs as a multiset of rows, NULL as ``None``."""
     out = {}
-    for row, n in zip(cube.itertuples(index=False, name=None),
-                      rows.tolist()):
+    for row, n in rows:
         out[row] = out.get(row, 0) + n
     return out
 
 
 def _assert_cube_matches_groupby(df, columns):
-    from tests.reference_stats import groupby_value_cube
+    from tests.reference_stats import cube_rows, groupby_value_cube
 
-    cube, rows = fd.value_cube(df, columns)
+    cube = fd.value_cube(df, columns)
     assert list(cube.columns) == columns
-    assert rows.dtype == np.int64 and len(rows) == len(cube)
-    got = _cube_multiset(cube, rows)
-    assert len(got) == len(cube)  # the rows are distinct
-    assert got == _cube_multiset(*groupby_value_cube(df, columns))
+    assert cube.rows.dtype == np.int64 and len(cube.rows) == len(cube.codes)
+    got = _cube_multiset(cube_rows(cube))
+    assert len(got) == len(cube.rows)  # the rows are distinct
+    ref, ref_rows = groupby_value_cube(df, columns)
+    assert got == _cube_multiset(zip(ref.itertuples(index=False, name=None),
+                                     ref_rows.tolist()))
 
 
 @pytest.mark.parametrize(
@@ -342,12 +344,12 @@ def bench_joints(spark):
     for name in ("hospital", "flights", "beers", "rayyan", "movies"):
         df = load(name).spark_dirty(spark)
         cols = [c for c in df.columns if c != "row_id"]
-        cube, rows = fd.value_cube(df, cols)
-        profs = profile_cube(cube, rows)
+        cube = fd.value_cube(df, cols)
+        profs = profile_cube(cube)
         pairs = fd.candidate_pairs(
             cols, n_distinct={c: p.n_distinct for c, p in profs.items()},
             total=profs[cols[0]].total)
-        out[name] = (pairs, fd.pair_joints(cube, rows, pairs),
+        out[name] = (pairs, fd.pair_joints(cube, pairs),
                      placeholder_values(profs))
     return out
 

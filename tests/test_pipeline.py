@@ -110,6 +110,27 @@ def test_clean_table_produces_no_changes(spark):
         out.reset_index(drop=True), pdf.reset_index(drop=True))
 
 
+def test_table_without_content_columns(spark):
+    """A table of only ``row_id`` has a value cube with no column: the
+    run emits no layer and returns the input rows unchanged, and its
+    SQL runs the same on DuckDB."""
+    pdf = pd.DataFrame({"row_id": [str(i) for i in range(5)]}).astype(object)
+    rep = CocoonPipeline(SimulatedLLM()).clean(
+        to_spark_strings(spark, pdf), "t")
+    assert rep.sql == "SELECT row_id FROM cocoon_t"
+    assert sorted(rep.cleaned.toPandas()["row_id"]) == list(pdf["row_id"])
+    assert_equivalent(rep.cleaned, rep.sql, cocoon_t=pdf)
+
+
+@pytest.mark.parametrize("name", ["my-table", "My Table"])
+def test_table_name_that_is_not_an_identifier(spark, toy_pdf, name):
+    """The view is named from the table name made a SQL identifier."""
+    rep = CocoonPipeline(SimulatedLLM()).clean(
+        to_spark_strings(spark, toy_pdf), name)
+    assert rep.view == "cocoon_my_table"
+    assert_equivalent(rep.cleaned, rep.sql, cocoon_my_table=toy_pdf)
+
+
 def test_duplication_and_uniqueness(spark):
     # 21 rows, one duplicated key -> unique ratio 20/21 ~ 0.952, inside
     # the [0.95, 1.0) statistical pre-filter of §2.1.8
@@ -239,7 +260,7 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     all_cols = df.columns
     cols = [c for c in all_cols if c != "row_id"]
     view = f"cocoon_{name}"
-    (_, _, pairs), joints = seen["joints"]
+    (_, pairs), joints = seen["joints"]
     _, (profs, repeated) = seen["rows"]
     (_, layers, _), _ = seen["sql"]
     stage_a = [l for l in layers if l.name in STAGE_A]
@@ -277,14 +298,20 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
 def test_planning_runs_one_spark_action_and_caches_only_the_input(
         spark, monkeypatch):
     """One value cube of the input serves stages A, B and C, and the
-    only statement built and handed to Spark is the final one."""
+    only statement built and handed to Spark is the final one. Each
+    content column's rows are coded once: every other ``factorize``
+    call codes a column's distinct values."""
     from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
 
     import repro.core.pipeline as pipeline
     from repro.benchdata import load
+    from repro.profiling import fd
 
-    df = load("movies").spark_dirty(spark)
-    actions, cached, statements = [], [], []
+    bench = load("movies")
+    df = bench.spark_dirty(spark)
+    actions, cached, statements, coded = [], [], [], []
+    monkeypatch.setattr(fd, "factorize", lambda values, _orig=(
+        fd.factorize): coded.append(len(values)) or _orig(values))
     monkeypatch.setattr(type(spark), "sql", lambda self, sql, _orig=type(
         spark).sql: statements.append(sql) or _orig(self, sql))
     monkeypatch.setattr(pipeline, "build_sql", lambda *args, _orig=(
@@ -305,6 +332,7 @@ def test_planning_runs_one_spark_action_and_caches_only_the_input(
         monkeypatch.setattr(ClassicDataFrame, name, kept)
     report = CocoonPipeline(SimulatedLLM()).clean(df, "movies")
     assert actions == ["toPandas"]
+    assert coded.count(len(bench.dirty)) == len(df.columns) - 1 == 17
     assert [type(s) for s in statements] == [tuple, str]
     assert statements[1] == report.sql
     assert cached and all(d is df for d in cached)

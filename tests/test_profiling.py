@@ -177,7 +177,7 @@ def test_profile_table_runs_one_spark_action(toy, monkeypatch):
 def _cube_rows(df: DataFrame, cols: list[str]):
     """The driver derivation of the row statistics, as the pipeline
     makes it: :func:`profile_cube_rows` of the columns' value cube."""
-    return profile_cube_rows(*fd.value_cube(df, cols))
+    return profile_cube_rows(fd.value_cube(df, cols))
 
 
 def test_duplicate_rows(spark):
@@ -200,10 +200,10 @@ def _assert_rows_match_reference(df, cols):
     equal ``profile_table``'s, the repeated rows equal the ``to_json``
     row profile's byte for byte, and the samples are the most repeated
     rows of the ``groupBy`` duplicate count, ties ordered by key."""
-    cube, rows = fd.value_cube(df, cols)
-    profs, repeated = profile_cube_rows(cube, rows)
+    cube = fd.value_cube(df, cols)
+    profs, repeated = profile_cube_rows(cube)
     want_profs, want_repeated = reference_stats.profile_rows(df, cols)
-    assert profile_cube(cube, rows) == profile_table(df, cols)
+    assert profile_cube(cube) == profile_table(df, cols)
     assert profs == want_profs == {c: replace(p, top_values=())
                                    for c, p in profile_table(df, cols).items()}
     assert sorted(repeated) == sorted(want_repeated)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import sql_emit
-from repro.core.counts import FDRepair, Swap, fold, fold_counts
+from repro.core.counts import FDRepair, Swap, fold, fold_counts, fold_cube
 from repro.llm import knowledge as kb
 from repro.profiling import fd, profile_cube, profile_cube_rows, profile_table
 from tests import reference_stats
@@ -130,7 +130,7 @@ def test_edit_distance_matches_full_matrix(a, b, cap):
 
 
 # ---------------------------------------------------------------------------
-# the stage C fold of a value cube against Spark over the rendered SQL
+# the fold of a coded value cube against Spark over the rendered SQL
 # ---------------------------------------------------------------------------
 
 #: quotes, a backslash, non-ASCII and control characters, some of which
@@ -142,7 +142,8 @@ FOLD_COLS = ["c0", "c1", "c2"]
 @st.composite
 def folded_tables(draw):
     """A small string table with NULLs and repeated rows, and a sequence
-    of swap and FD-repair decisions over values it holds."""
+    of stage A value maps (as ``(column, map)``), swaps and FD repairs
+    over values it holds."""
     pool = draw(st.lists(cell_text, min_size=1, max_size=4, unique=True))
     cell = st.none() | st.sampled_from(pool)
     rows = draw(st.lists(st.tuples(cell, cell, cell), max_size=12))
@@ -150,7 +151,11 @@ def folded_tables(draw):
     rewrites = []
     for _ in range(draw(st.integers(0, 3))):
         a, b = draw(st.permutations(FOLD_COLS))[:2]
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["map", "swap", "fd"]))
+        if kind == "map":
+            rewrites.append((a, draw(st.dictionaries(
+                st.sampled_from(pool), cell, min_size=1))))
+        elif kind == "swap":
             rewrites.append(Swap(a, b, tuple(draw(values)),
                                  tuple(draw(values))))
         else:
@@ -159,38 +164,64 @@ def folded_tables(draw):
     return rows, rewrites
 
 
-def _layer(k: int, r: Swap | FDRepair) -> sql_emit.Layer:
+def _layer(k: int, r) -> sql_emit.Layer:
     if isinstance(r, Swap):
         return sql_emit.Layer(f"l{k}", exprs=dict(zip(
             (r.a, r.b), sql_emit.swap_case(r))))
-    return sql_emit.Layer(f"l{k}", exprs={r.rhs: sql_emit.fd_repair_case(r)})
+    if isinstance(r, FDRepair):
+        return sql_emit.Layer(f"l{k}",
+                              exprs={r.rhs: sql_emit.fd_repair_case(r)})
+    column, values = r
+    return sql_emit.Layer(f"l{k}", exprs={
+        column: sql_emit.value_case(column, values)})
+
+
+def _fold(cube: fd.Cube, r) -> fd.Cube:
+    if isinstance(r, (Swap, FDRepair)):
+        return r.fold(cube)
+    column, values = r
+    return fold_cube(cube, {column: [values]})
 
 
 @settings(max_examples=25)
 @given(folded_tables())
 # pd.factorize would give '' and '\x00' one code
 @example(([(None, "", None), (None, "\x00", None)], []))
+# every row of c0's 'x' and c1's 'y' is swapped out: their values stay
+# in the columns' dictionaries with no row
+@example(([("x", "y", None), ("x", "y", "z"), (None, "y", "x")],
+          [Swap("c0", "c1", ("x",), ("y",))]))
+# the repair writes 'z', which c1 never held, and leaves NULLs NULL
+@example(([("a", "p", None), ("a", "q", "p"), ("a", None, None),
+           ("b", "p", None), (None, "q", None)],
+          [FDRepair("c0", "c1", {"a": "z"})]))
+# a value map merges 'a' into 'b' (and nulls 'c'): rows that become
+# equal are repeated rows
+@example(([("a", "p", None), ("b", "p", None), ("c", "p", None),
+           (None, "p", None)],
+          [("c0", {"a": "b", "c": None})]))
 def test_cube_fold_matches_spark_over_the_sql(spark, table):
-    """The driver fold of swaps and FD repairs over a value cube gives
-    the profiles and repeated rows (keys byte for byte) that Spark's
-    ``to_json`` row profile gives over the rendered SQL; the unfolded
-    cube equals the Spark ``groupBy`` cube (as a multiset of rows and
-    counts) and its profiles are ``profile_table``'s."""
+    """The driver fold of value maps, swaps and FD repairs over a coded
+    value cube gives the profiles and repeated rows (keys byte for
+    byte) that Spark's ``to_json`` row profile gives over the rendered
+    SQL; the unfolded cube equals the Spark ``groupBy`` cube (as a
+    multiset of rows and counts) and its profiles are
+    ``profile_table``'s."""
     rows, rewrites = table
     df = spark.createDataFrame(rows, ", ".join(f"{c} string"
                                                for c in FOLD_COLS))
     df.createOrReplaceTempView("prop_fold")
-    cube, n = fd.value_cube(df, FOLD_COLS)
+    cube = fd.value_cube(df, FOLD_COLS)
     ref_cube, ref_n = reference_stats.groupby_value_cube(df, FOLD_COLS)
-    assert (sorted(zip(map(repr, cube.itertuples(index=False, name=None)),
-                       n.tolist()))
+    assert (sorted((repr(row), n)
+                   for row, n in reference_stats.cube_rows(cube))
             == sorted(zip(map(repr, ref_cube.itertuples(index=False,
                                                         name=None)),
                           ref_n.tolist())))
-    assert profile_cube(cube, n) == profile_table(df, FOLD_COLS)
+    assert profile_cube(cube) == profile_table(df, FOLD_COLS)
     for r in rewrites:
-        cube = r.fold(cube)
-    profs, repeated = profile_cube_rows(cube, n)
+        cube = _fold(cube, r)
+    profs, repeated = profile_cube_rows(cube)
     sql = sql_emit.build_sql(
         "prop_fold", [_layer(k, r) for k, r in enumerate(rewrites)],
         FOLD_COLS)

@@ -186,8 +186,10 @@ def test_backslash_literals_agree_on_spark_and_duckdb(spark):
     an FD-repair key: Spark and DuckDB read the same values, and the
     result is what the decisions' folds compute."""
     from repro.benchdata.base import to_spark_strings
-    from repro.core.counts import fold
+    from repro.core.counts import fold_cube
     from repro.oracle import assert_equivalent
+    from repro.profiling import fd
+    from tests import reference_stats
 
     pdf = pd.DataFrame({
         "row_id": ["0", "1", "2", "3"],
@@ -209,14 +211,15 @@ def test_backslash_literals_agree_on_spark_and_duckdb(spark):
     to_spark_strings(spark, pdf).createOrReplaceTempView("emit_backslash")
     got = spark.sql(sql)
     assert_equivalent(got, sql, emit_backslash=pdf)
-    cube = pdf.assign(city=[fold(v, [values]) for v in pdf["city"]])
-    want = repair.fold(swap.fold(cube))
-    assert want.values.tolist() == [
+    cube = fold_cube(fd.Cube.of(pdf), {"city": [values]})
+    want = [list(row) for row, _ in
+            reference_stats.cube_rows(repair.fold(swap.fold(cube)))]
+    assert want == [
         ["0", "Boston", "M\\A", "0\\2"],
         ["1", "x\\", "C:\\dir", "x"],
         ["2", "Bo\\ston", "M\\A", "0\\2"],
         ["3", None, "M\\A", "0\\2"],
     ]
     assert (sorted(map(tuple, got.toPandas().astype(object).values.tolist()))
-            == sorted(map(tuple, want.values.tolist())))
+            == sorted(map(tuple, want)))
     spark.catalog.dropTempView("emit_backslash")

@@ -6,7 +6,6 @@ pipeline appends."""
 import json
 from collections import Counter
 
-import numpy as np
 import pandas as pd
 
 from repro.core import StepReport
@@ -29,12 +28,11 @@ def _repeated(rows, cols):
 
 
 def _joints(rows, pairs):
-    """Each pair's joint counts, marginalized from the rows as from a
-    value cube whose rows each count once."""
+    """Each pair's joint counts, marginalized from the rows' value
+    cube."""
     keys = [(p.a, p.b) for p in pairs]
-    cube = pd.DataFrame(rows).astype(object)
-    return dict(zip(keys, fd.pair_joints(
-        cube, np.ones(len(cube), dtype=np.int64), keys)))
+    cube = fd.Cube.of(pd.DataFrame(rows).astype(object))
+    return dict(zip(keys, fd.pair_joints(cube, keys)))
 
 
 def _misplacement(rows, counts, llm=LLM):
