@@ -6,10 +6,12 @@ constraints cover; Raha+Baran learns statistical detection/correction
 models helped by 20 ground-truth labeled cells; CleanAgent standardizes
 formats (which the benchmarks do not score as repairs); RetClean without
 lake tables degrades to conservative foundation-model typo fixes on
-long-text cells. Raha+Baran and RetClean emit their repairs through the
-same portable-SQL layers as Cocoon (``sql_emit.value_case`` and
-``build_sql``); HoloClean and CleanAgent use the DataFrame API. Spark
-executes all four.
+long-text cells. Raha+Baran and RetClean profile one value cube of the
+input, as Cocoon does, and their repairs are decisions carried by the
+same layers as Cocoon's (``sql_emit.Layer``: a value map per column, a
+swap or an FD repair), which ``build_sql`` renders as portable SQL;
+HoloClean and CleanAgent use the DataFrame API. Spark executes all
+four.
 """
 from repro.baselines.cleanagent import cleanagent_clean
 from repro.baselines.holoclean import holoclean_clean

@@ -27,8 +27,11 @@ low there.
 Planning runs one Spark job, as Cocoon's does: a value cube of the input
 (:func:`~repro.profiling.fd.value_cube`) gives every column's profile
 (its marginals) and the FD statistics of the vicinity models
-(:func:`~repro.profiling.fd.discover_fds` over the same cube). All
-repairs are emitted as the same portable SQL layers Cocoon uses and
+(:func:`~repro.profiling.fd.discover_fds` over the same cube). Every
+repair is a decision carried by the same layers Cocoon uses
+(:class:`~repro.core.sql_emit.Layer`): a value map per column, a
+:class:`~repro.core.counts.Swap` or an
+:class:`~repro.core.counts.FDRepair`, rendered as portable SQL and
 executed by Spark.
 """
 from __future__ import annotations
@@ -37,7 +40,6 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.benchdata.base import Benchmark
-from repro.core import sql_emit
 from repro.core.counts import FDRepair, Swap
 from repro.core.sql_emit import Layer, build_sql
 from repro.llm import knowledge as kb
@@ -123,10 +125,10 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
             if fixed != v:
                 mapping[v] = fixed
         if mapping:
-            value_layer.exprs[col] = sql_emit.value_case(col, mapping)
+            value_layer.decision[col] = mapping
             value_layer.comments.append(
                 f"{col}: token rules learned from labels: {rules}")
-    if value_layer.exprs:
+    if value_layer.decision:
         layers.append(value_layer)
 
     # --- domain models: rare value -> nearest frequent donor ----------
@@ -164,11 +166,11 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
                 if len(best) == 1:
                     mapping[v] = best[0][2]
         if mapping:
-            domain_layer.exprs[col] = sql_emit.value_case(col, mapping)
+            domain_layer.decision[col] = mapping
             domain_layer.comments.append(
                 f"{col}: {len(mapping)} rare values mapped to frequent "
                 "donors")
-    if domain_layer.exprs:
+    if domain_layer.decision:
         layers.append(domain_layer)
 
     # --- cross-column swap rule (learned from labels) -----------------
@@ -189,9 +191,8 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
         )
         if not a_off or not b_off:
             continue
-        cases = sql_emit.swap_case(Swap(a, b, tuple(a_off), tuple(b_off)))
         layers.append(Layer(
-            f"baran_swap_{k}", exprs=dict(zip((a, b), cases)),
+            f"baran_swap_{k}", Swap(a, b, tuple(a_off), tuple(b_off)),
             comments=[f"swap rule learned from labels: {a} <-> {b}"]))
 
     # --- vicinity models: mode repair of statistical FD groups --------
@@ -220,10 +221,8 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
                 mapping[key] = mode
         if mapping:
             repaired_rhs.add(cand.rhs)
-            repair = FDRepair(cand.lhs, cand.rhs, mapping)
             layers.append(Layer(
-                f"baran_vicinity_{i}",
-                exprs={cand.rhs: sql_emit.fd_repair_case(repair)},
+                f"baran_vicinity_{i}", FDRepair(cand.lhs, cand.rhs, mapping),
                 comments=[f"vicinity model {cand.lhs} -> {cand.rhs}: mode "
                           f"repair of {len(mapping)} groups"]))
 

@@ -10,22 +10,24 @@ obvious for LLMs to fix").
 
 A column qualifies for the fallback when it is near-unique free text
 (unique ratio > 0.9, average >= 4 words) — the retrieval-target shape.
-Repairs are emitted as a portable-SQL mapping layer.
+The profiles are the marginals of one value cube of the input (one
+Spark scan, as for Cocoon and Raha+Baran), and the repairs are one
+layer carrying a value map per column, rendered as portable SQL.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 
-from repro.core import sql_emit
 from repro.core.sql_emit import Layer, build_sql
 from repro.llm import knowledge as kb
-from repro.profiling.column_profile import profile_table
+from repro.profiling.column_profile import profile_cube
+from repro.profiling.fd import value_cube
 
 
 def retclean_clean(dirty: DataFrame) -> DataFrame:
     spark = dirty.sparkSession
     cols = [c for c in dirty.columns if c != "row_id"]
-    profiles = profile_table(dirty, cols)
+    profiles = profile_cube(value_cube(dirty, cols))
     layer = Layer("retclean_fallback")
     for col in cols:
         prof = profiles[col]
@@ -42,10 +44,10 @@ def retclean_clean(dirty: DataFrame) -> DataFrame:
             if fixed is not None and fixed != v:
                 mapping[v] = fixed
         if mapping:
-            layer.exprs[col] = sql_emit.value_case(col, mapping)
+            layer.decision[col] = mapping
             layer.comments.append(
                 f"{col}: foundation-model spelling fixes on free text")
     view = "retclean_input"
     dirty.createOrReplaceTempView(view)
-    return spark.sql(build_sql(view, [layer] if layer.exprs else [],
+    return spark.sql(build_sql(view, [layer] if layer.decision else [],
                                list(dirty.columns)))

@@ -12,8 +12,9 @@ pairs statistical detection (Spark aggregations from
 oracle re-executes in tests. Per-column steps return a
 :class:`ColumnOutcome`, table-level steps a :class:`TableOutcome`.
 """
-from repro.core.outcome import ROW_ID, ColumnOutcome, StepReport, TableOutcome
+from repro.core.outcome import ColumnOutcome, StepReport, TableOutcome
 from repro.core.pipeline import CleanReport, CocoonPipeline
+from repro.core.sql_emit import ROW_ID
 
 __all__ = ["ROW_ID", "CleanReport", "CocoonPipeline", "ColumnOutcome",
            "StepReport", "TableOutcome"]

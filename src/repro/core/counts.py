@@ -7,16 +7,15 @@ value map into it (:func:`fold_counts`) — §2.1's ordering constraint
 implemented by these updates, not by re-scanning the table after every
 step.
 
-Table-level statistics are folded the same way: each column's stage A
-value maps are kept in layer order, and :func:`fold_cube` passes the
-input's coded value cube (:class:`~repro.profiling.fd.Cube`) through
-them, which gives the cube of the column-cleaned table without
-evaluating its SQL. The table-level row rewrites, misplacement's
-:class:`Swap` and the FD step's :class:`FDRepair`, fold the cube
-further, to the repaired table. A fold selects rows on their codes and
-rewrites a column's distinct values, never the rows' strings. Each
-decision is one value that :mod:`repro.core.sql_emit` renders as a SQL
-layer and that folds the cube as that layer rewrites rows.
+Table-level statistics are folded the same way, from the decisions the
+SQL layers carry (:class:`~repro.core.sql_emit.Layer`): a layer's value
+maps (:func:`fold_cube`), misplacement's :class:`Swap` and the FD step's
+:class:`FDRepair` each pass the input's coded value cube
+(:class:`~repro.profiling.fd.Cube`) on as that layer rewrites its rows,
+which gives the cube of the cleaned table without evaluating its SQL
+(:func:`~repro.core.sql_emit.fold_layers` walks the layers). A fold
+selects rows on their codes and rewrites a column's distinct values,
+never the rows' strings.
 """
 from __future__ import annotations
 
@@ -27,8 +26,8 @@ import numpy as np
 from repro.profiling.fd import Cube, isin
 
 Counts = tuple[tuple[str, int], ...]
-#: one step's decision for one column, and the SQL layer that applies
-#: it: value -> new value, or -> None to null it
+#: one step's decision for one column: value -> new value, or -> None
+#: to null it
 ValueMap = dict[str, str | None]
 
 
@@ -53,8 +52,9 @@ def fold(value: str | None, maps: list[ValueMap]) -> str | None:
     return value
 
 
-def fold_cube(cube: Cube, maps: dict[str, list[ValueMap]]) -> Cube:
-    """``cube`` with every column's values folded through its maps.
+def fold_cube(cube: Cube, maps: dict[str, ValueMap]) -> Cube:
+    """``cube`` with each named column's values folded through its map,
+    as one project layer's value maps rewrite them.
 
     Each column's distinct values are folded, once each, and its codes
     follow them (:meth:`~repro.profiling.fd.Cube.recoded`). Cube rows
@@ -62,7 +62,7 @@ def fold_cube(cube: Cube, maps: dict[str, list[ValueMap]]) -> Cube:
     is marginalized.
     """
     return cube.recoded({
-        c: (codes, np.array([fold(v, maps[c]) for v in values.tolist()],
+        c: (codes, np.array([fold(v, [maps[c]]) for v in values.tolist()],
                             dtype=object))
         for c, codes, values in zip(cube.columns, cube.codes.T, cube.values)
         if maps.get(c)})

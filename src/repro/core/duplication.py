@@ -7,11 +7,12 @@ of its folded value cube) give every repeated row with its count. The LLM judges
 is semantically acceptable (e.g. coarse logging). Erroneous duplicates
 are removed with a dedupe layer equivalent to the paper's ``SELECT
 DISTINCT`` (a window keeps the first-``row_id`` copy so surrogate ids
-stay stable).
+stay stable; without a ``row_id`` the copies are equal rows, and any
+one will do).
 """
 from __future__ import annotations
 
-from repro.core.outcome import ROW_ID, StepReport, TableOutcome
+from repro.core.outcome import StepReport, TableOutcome
 from repro.core.sql_emit import Layer
 from repro.llm.client import LLMClient
 from repro.profiling.column_profile import duplicate_rows
@@ -36,8 +37,7 @@ def clean_duplication(
     if review.acceptable:
         return TableOutcome((), (StepReport(
             "duplication", None, True, f"{found}; acceptable"),))
-    layer = Layer("clean_duplication", kind="window_dedupe",
-                  comments=[review.reasoning], key_cols=content_cols,
-                  order_col=ROW_ID)
+    layer = Layer("clean_duplication", comments=[review.reasoning],
+                  key_cols=content_cols)
     return TableOutcome((layer,), (StepReport(
         "duplication", None, True, f"{found}; removed"),))

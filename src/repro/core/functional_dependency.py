@@ -6,14 +6,15 @@ value cube, Raha+Baran calls ``discover_fds`` over its own). Semantic
 detection: the LLM reviews whether each statistically strong FD is
 meaningful. Semantic cleaning: the LLM maps every violating group to
 its true RHS value — or abstains when no confident majority exists (the
-behaviour behind the paper's Flights discussion). Cleaning is a per-FD
-``CASE WHEN`` layer.
+behaviour behind the paper's Flights discussion). Cleaning is one layer
+per repaired FD, carrying its :class:`~repro.core.counts.FDRepair`,
+which renders as a ``CASE WHEN``.
 """
 from __future__ import annotations
 
 from repro.core.counts import FDRepair
 from repro.core.outcome import StepReport, TableOutcome
-from repro.core.sql_emit import Layer, fd_repair_case
+from repro.core.sql_emit import Layer
 from repro.llm.client import LLMClient
 # discover_fds is this step's statistical detection as one call over a
 # value cube; it stays importable here, where perfbench/layers.py
@@ -36,7 +37,6 @@ def clean_fds(cands: list[FDCandidate], llm: LLMClient) -> TableOutcome:
     """
     layers: list[Layer] = []
     steps: list[StepReport] = []
-    repairs: list[FDRepair] = []
     repaired_rhs: set[str] = set()
     for cand in cands:
         lhs, rhs = cand.lhs, cand.rhs
@@ -52,11 +52,8 @@ def clean_fds(cands: list[FDCandidate], llm: LLMClient) -> TableOutcome:
             continue
         repaired_rhs.add(rhs)
         n_fixed, n_abstained = len(repair.mapping), len(repair.abstained)
-        fix = FDRepair(lhs, rhs, repair.mapping)
-        repairs.append(fix)
         layers.append(Layer(
-            f"clean_fd_{len(layers)}",
-            exprs={rhs: fd_repair_case(fix)},
+            f"clean_fd_{len(layers)}", FDRepair(lhs, rhs, repair.mapping),
             comments=[f"FD {lhs} -> {rhs} "
                       f"(H={cand.conditional_entropy:.3f}): repaired "
                       f"{n_fixed} groups, abstained on {n_abstained} "
@@ -69,4 +66,4 @@ def clean_fds(cands: list[FDCandidate], llm: LLMClient) -> TableOutcome:
         steps.append(StepReport(
             "functional_dependency", None, False,
             "no meaningful FD with repairable violations"))
-    return TableOutcome(tuple(layers), tuple(steps), tuple(repairs))
+    return TableOutcome(tuple(layers), tuple(steps))

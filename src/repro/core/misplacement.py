@@ -8,14 +8,15 @@ the profiled values). :func:`domain_pairs` lists the column pairs with
 distinct domains whose values each stray into the other's domain; the
 evidence is the pair's joint counts (from the pipeline's value cube):
 rows where *both* cells hold the other column's domain. The LLM
-confirms the misplacement and cleaning swaps the cells back via paired
-``CASE WHEN`` expressions.
+confirms the misplacement and cleaning swaps the cells back: each
+confirmed :class:`~repro.core.counts.Swap` is one layer, which renders
+as paired ``CASE WHEN`` expressions.
 """
 from __future__ import annotations
 
 from repro.core.counts import Swap
 from repro.core.outcome import StepReport, TableOutcome
-from repro.core.sql_emit import Layer, swap_case
+from repro.core.sql_emit import Layer
 from repro.llm import knowledge as kb
 from repro.llm.client import LLMClient, ValueCounts
 from repro.profiling.fd import Joint
@@ -87,7 +88,6 @@ def clean_misplacement(
     """
     layers: list[Layer] = []
     steps: list[StepReport] = []
-    swaps: list[Swap] = []
     swapped_cols: set[str] = set()
     n_confirmed = 0
     for p in pairs:
@@ -108,11 +108,8 @@ def clean_misplacement(
         if {a, b} & swapped_cols:
             continue
         swapped_cols |= {a, b}
-        a_expr, b_expr = swap_case(p)
-        swaps.append(p)
         layers.append(Layer(
-            name, exprs={a: a_expr, b: b_expr},
-            comments=[f"{a} <-> {b}: {n} rows hold each other's "
+            name, p, comments=[f"{a} <-> {b}: {n} rows hold each other's "
                       "values; swap them back"]))
         steps.append(StepReport(
             "misplacement", f"{a}/{b}", True,
@@ -120,4 +117,4 @@ def clean_misplacement(
     if not steps:
         steps.append(StepReport(
             "misplacement", None, False, "no misplaced columns"))
-    return TableOutcome(tuple(layers), tuple(steps), tuple(swaps))
+    return TableOutcome(tuple(layers), tuple(steps))

@@ -1,22 +1,21 @@
 """The result types of the cleaning steps (§2.1).
 
 Each per-column ``clean_*`` function (§2.1.1-§2.1.5) returns a
-:class:`ColumnOutcome`, whose value map ``CocoonPipeline.clean`` renders
-as a SQL layer expression and folds into the column's frequency
+:class:`ColumnOutcome`, whose value map ``CocoonPipeline.plan`` puts
+into that step's SQL layer and folds into the column's frequency
 vector. Each table-level step (misplacement, FDs, duplication,
-uniqueness) returns a :class:`TableOutcome`: its finished SQL layers and
-its audit entries, which the pipeline appends as they are, and the row
-rewrites its layers apply, which the pipeline folds into its value cube.
+uniqueness) returns a :class:`TableOutcome`: its layers, each carrying
+one decision (a swap, an FD repair or a dedupe window), and its audit
+entries, which the pipeline appends as they are. Decisions become SQL
+text only when :func:`~repro.core.sql_emit.build_sql` renders the
+layers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.counts import FDRepair, Swap, ValueMap
+from repro.core.counts import ValueMap
 from repro.core.sql_emit import Layer
-
-#: the surrogate key; excluded from row identity, orders dedupe windows
-ROW_ID = "row_id"
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,10 @@ class ColumnOutcome:
 class TableOutcome:
     """What one table-level step decided.
 
-    ``layers`` are commented SQL layers to append, in order; ``steps``
-    are the reports to record. A step that emits no layer still records
-    one report. ``rewrites`` are the decisions the layers render, in
-    layer order, when they rewrite cells (swaps and FD repairs); the
-    dedupe layers have none.
+    ``layers`` are the layers to append, in order; ``steps`` are the
+    reports to record. A step that emits no layer still records one
+    report.
     """
 
     layers: tuple[Layer, ...]
     steps: tuple[StepReport, ...]
-    rewrites: tuple[Swap | FDRepair, ...] = ()

@@ -1,21 +1,32 @@
 """Commented-SQL emission in the portable Spark ∩ DuckDB dialect.
 
 The paper's output artifact is "a set of well-commented SQL queries"
-(§2.2, Fig. 5). Every cleaning decision becomes a CTE layer of ``CASE
-WHEN`` / ``IN`` / window expressions; :func:`build_sql` nests the layers
-into one statement. The dialect is deliberately restricted so the exact
-same text runs on Spark (Catalyst, the production path) and on DuckDB
-(the correctness oracle): unquoted snake_case identifiers, single-quoted
-literals with ``''`` escaping, ``CASE WHEN``, ``IN`` lists and
-``row_number() OVER``. A backslash, which the two engines read
-differently inside a literal, is spliced in as ``chr(92)``.
+(§2.2, Fig. 5), each produced from a decision the LLM made. A
+:class:`Layer` carries one such decision as a value, not as SQL text: a
+value map per column (:data:`~repro.core.counts.ValueMap`), a
+:class:`~repro.core.counts.Swap`, an :class:`~repro.core.counts.FDRepair`
+or a dedupe window's keys and order. :meth:`Layer.render` is the one
+place a decision becomes a CTE of ``CASE WHEN`` / ``IN`` / window
+expressions, and :func:`build_sql` nests the layers into one
+statement. :func:`fold_layers` walks the same layers over a coded value
+cube, which gives the statistics of the cleaned table without running
+the SQL.
+
+The dialect is deliberately restricted so the exact same text runs on
+Spark (Catalyst, the production path) and on DuckDB (the correctness
+oracle): unquoted snake_case identifiers, single-quoted literals with
+``''`` escaping, ``CASE WHEN``, ``IN`` lists and ``row_number() OVER``
+with an explicit NULL order where the engines' defaults differ. A
+backslash, which the two engines read differently inside a literal, is
+spliced in as ``chr(92)``.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
-from repro.core.counts import FDRepair, Swap, ValueMap
+from repro.core.counts import FDRepair, Swap, ValueMap, fold_cube
+from repro.profiling.fd import Cube
 
 _IDENT_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
@@ -85,51 +96,62 @@ def swap_case(swap: Swap) -> tuple[str, str]:
     )
 
 
+#: the surrogate key; excluded from row identity, orders dedupe windows
+ROW_ID = "row_id"
+
+#: what a project layer decides: a value map per column, a swap or an
+#: FD repair
+Decision = dict[str, ValueMap] | Swap | FDRepair
+
+
 @dataclass
 class Layer:
-    """One CTE of the cleaning pipeline.
+    """One CTE of the cleaning pipeline, and the decision it applies.
 
-    ``kind`` is ``"project"`` (per-column expressions in ``exprs``;
-    untouched columns pass through), ``"window_dedupe"`` (keep one row
-    per ``key_cols`` group, first by ``order_col`` ascending) — used for
-    both §2.1.7 duplication (keys = all content columns) and §2.1.8
-    uniqueness (keys = the key column).
+    A project layer holds its ``decision``, which :meth:`render` alone
+    turns into SQL and :func:`fold_layers` folds into a value cube;
+    untouched columns pass through. A dedupe layer has ``key_cols``
+    instead and keeps one row per key group: the one with the largest
+    ``order_col`` when it has one, else the first by ``row_id``. It
+    serves both §2.1.7 duplication (keys = all content columns) and
+    §2.1.8 uniqueness (keys = the key column). Without a ``row_id``,
+    ties are broken by every column, each ``NULLS FIRST``: Spark and
+    DuckDB put NULLs at opposite ends of an ascending sort.
     """
 
     name: str
-    kind: str = "project"
+    decision: Decision = field(default_factory=dict)
     comments: list[str] = field(default_factory=list)
-    exprs: dict[str, str] = field(default_factory=dict)
     key_cols: list[str] = field(default_factory=list)
     order_col: str | None = None
-    order_desc: bool = False
 
     def render(self, source: str, columns: list[str]) -> str:
         comment = "".join(f"    -- {line}\n" for line in self.comments)
-        if self.kind == "project":
+        cols = [safe_ident(c) for c in columns]
+        if not self.key_cols:
+            d = self.decision
+            if isinstance(d, Swap):
+                exprs = dict(zip((d.a, d.b), swap_case(d)))
+            elif isinstance(d, FDRepair):
+                exprs = {d.rhs: fd_repair_case(d)}
+            else:
+                exprs = {c: value_case(c, m) for c, m in d.items()}
             sel = ",\n        ".join(
-                f"{self.exprs[c]} AS {safe_ident(c)}" if c in self.exprs
-                else safe_ident(c)
-                for c in columns
-            )
+                f"{exprs[c]} AS {c}" if c in exprs else c for c in cols)
             return f"{comment}    SELECT {sel}\n    FROM {source}"
-        if self.kind == "window_dedupe":
-            keys = ", ".join(safe_ident(k) for k in self.key_cols)
-            order = safe_ident(self.order_col) if self.order_col else (
-                safe_ident(columns[0])
-            )
-            if self.order_desc:
-                order += " DESC"
-            cols = ", ".join(safe_ident(c) for c in columns)
-            return (
-                f"{comment}    SELECT {cols} FROM (\n"
-                f"        SELECT {cols},\n"
-                f"            row_number() OVER (PARTITION BY {keys} "
-                f"ORDER BY {order}) AS _rn\n"
-                f"        FROM {source}\n"
-                f"    ) {self.name}_ranked WHERE _rn = 1"
-            )
-        raise ValueError(f"unknown layer kind {self.kind!r}")
+        keys = ", ".join(safe_ident(k) for k in self.key_cols)
+        by = [f"{safe_ident(self.order_col)} DESC"] if self.order_col else []
+        if ROW_ID not in columns:
+            by += [f"{c} NULLS FIRST" for c in cols]
+        order, cols = ", ".join(by or [ROW_ID]), ", ".join(cols)
+        return (
+            f"{comment}    SELECT {cols} FROM (\n"
+            f"        SELECT {cols},\n"
+            f"            row_number() OVER (PARTITION BY {keys} "
+            f"ORDER BY {order}) AS _rn\n"
+            f"        FROM {source}\n"
+            f"    ) {self.name}_ranked WHERE _rn = 1"
+        )
 
 
 def build_sql(source_table: str, layers: list[Layer],
@@ -145,3 +167,14 @@ def build_sql(source_table: str, layers: list[Layer],
         parts.append(f"{safe_ident(layer.name)} AS (\n{body}\n)")
         prev = layer.name
     return "WITH " + ",\n".join(parts) + f"\nSELECT {cols} FROM {prev}"
+
+
+def fold_layers(cube: Cube, layers: list[Layer]) -> Cube:
+    """``cube`` as the project ``layers``, in order, rewrite its rows,
+    without running their SQL: each layer's value maps fold as
+    :func:`~repro.core.counts.fold_cube`, a swap or an FD repair by its
+    own ``fold``."""
+    for layer in layers:
+        d = layer.decision
+        cube = fold_cube(cube, d) if isinstance(d, dict) else d.fold(cube)
+    return cube

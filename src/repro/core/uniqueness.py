@@ -7,7 +7,7 @@ time). Cleaning is a window function keyed on the column.
 """
 from __future__ import annotations
 
-from repro.core.outcome import ROW_ID, StepReport, TableOutcome
+from repro.core.outcome import StepReport, TableOutcome
 from repro.core.sql_emit import Layer
 from repro.llm.client import LLMClient
 
@@ -38,10 +38,8 @@ def clean_uniqueness(
             continue
         order_by = review.order_by
         layers.append(Layer(
-            f"clean_uniqueness_{col}", kind="window_dedupe",
-            comments=[review.reasoning], key_cols=[col],
-            order_col=order_by or ROW_ID,
-            order_desc=order_by is not None))
+            f"clean_uniqueness_{col}", comments=[review.reasoning],
+            key_cols=[col], order_col=order_by))
         steps.append(StepReport(
             "uniqueness", col, True,
             f"deduplicated on {col} keeping "

@@ -15,14 +15,16 @@ same code:
   ``groupBy`` counts them. The counts are collected through Arrow and
   everything else is derived on the driver: a count-distinct per column
   would make Spark add an ``Expand`` and a two-level aggregate, and a
-  top-K window a second shuffle. It suits callers that need no rows
-  and no FD statistics (RetClean).
+  top-K window a second shuffle. No cleaner calls it any more; the
+  tests keep it as the reference :func:`profile_cube` is checked
+  against.
 * :func:`profile_cube` marginalizes a value cube
   (:class:`repro.profiling.fd.Cube`: the distinct rows and their counts,
   one scan coded once and deduplicated on the driver) with a
   ``bincount`` of each column's codes. Cocoon collects it once and
   folds it through its cleaning decisions on the driver; Raha+Baran
-  reads its FD statistics from the same cube. :func:`profile_cube_rows`
+  reads its FD statistics from the same cube, and RetClean only its
+  profiles. :func:`profile_cube_rows`
   also finds a cube's exactly duplicated rows (§2.1.7) over its code
   matrix, which :func:`duplicate_rows` summarizes.
 """

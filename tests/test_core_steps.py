@@ -121,10 +121,12 @@ def test_uniqueness_plans_for_near_unique_key():
     r = clean_uniqueness(["order_id", "updated_time"],
                          {"order_id": 0.99, "updated_time": 0.5}, LLM)
     (layer,) = r.layers
-    assert (layer.name, layer.kind) == ("clean_uniqueness_order_id",
-                                        "window_dedupe")
+    assert (layer.name, layer.decision) == ("clean_uniqueness_order_id", {})
     assert layer.key_cols == ["order_id"]
-    assert (layer.order_col, layer.order_desc) == ("updated_time", True)
+    # the dedupe keeps the row with the largest (latest) order column
+    assert layer.order_col == "updated_time"
+    assert "ORDER BY updated_time DESC)" in layer.render(
+        "t", ["row_id", "order_id", "updated_time"])
     assert r.steps == (StepReport(
         "uniqueness", "order_id", True,
         "deduplicated on order_id keeping latest updated_time"),)

@@ -1,8 +1,8 @@
 """Frequency-vector bookkeeping between pipeline steps."""
 import pandas as pd
 
-from repro.core import sql_emit
 from repro.core.counts import fold, fold_counts, fold_cube
+from repro.core.sql_emit import Layer, build_sql, fold_layers
 from repro.profiling import fd
 
 
@@ -51,7 +51,7 @@ def test_fold_null_stays_null():
 
 def test_fold_cube_of_no_rows():
     cube = fd.Cube.of(pd.DataFrame({"a": pd.Series([], dtype=object)}))
-    assert len(fold_cube(cube, {"a": [{"x": "y"}]}).rows) == 0
+    assert len(fold_cube(cube, {"a": {"x": "y"}}).rows) == 0
 
 
 def test_folded_joint_equals_sql_groupby(spark):
@@ -63,22 +63,17 @@ def test_folded_joint_equals_sql_groupby(spark):
     df = spark.createDataFrame(rows, "zip string, city string")
     df.createOrReplaceTempView("fold_src")
     layers = [
-        sql_emit.Layer("l0", exprs={
-            "city": sql_emit.value_case("city", {"B'ham": "Birmingham"}),
-            "zip": sql_emit.value_case("zip", {"35233.0": "35233"})}),
-        sql_emit.Layer("l1", exprs={
-            "city": sql_emit.value_case("city", {"N/A": None})}),
+        Layer("l0", {"city": {"B'ham": "Birmingham"},
+                     "zip": {"35233.0": "35233"}}),
+        Layer("l1", {"city": {"N/A": None}}),
     ]
-    maps = {"city": [{"B'ham": "Birmingham"}, {"N/A": None}],
-            "zip": [{"35233.0": "35233"}]}
     want = {
         (r["zip"], r["city"]): r["count"]
-        for r in spark.sql(sql_emit.build_sql("fold_src", layers,
-                                              ["zip", "city"]))
+        for r in spark.sql(build_sql("fold_src", layers, ["zip", "city"]))
         .dropna().groupBy("zip", "city").count().collect()
     }
     cube = fd.value_cube(df, ["zip", "city"])
-    (joint,) = fd.pair_joints(fold_cube(cube, maps), [("zip", "city")])
+    (joint,) = fd.pair_joints(fold_layers(cube, layers), [("zip", "city")])
     assert {(a, b): c for a, b, c in joint.tuples()} == want == {
         ("35233", "Birmingham"): 3, ("10001", "NYC"): 1}
     spark.catalog.dropTempView("fold_src")

@@ -36,6 +36,15 @@ RAHA_BARAN_PINNED = {
     "rayyan": "be9b8b4e9e734237",
 }
 
+#: the same digest of RetClean's cleaned rows, recorded the same way
+#: while it still profiled with ``profile_table``
+RETCLEAN_PINNED = {
+    "hospital": "44c76fd11809f190",
+    "flights": "4fc2c238ed67d0ff",
+    "beers": "58697e49bd381be7",
+    "rayyan": "194aa658cb92ff8f",
+}
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -62,6 +71,15 @@ def test_raha_baran_rows_are_pinned(spark, name):
     rows = raha_baran_clean(bench, bench.spark_dirty(spark)).collect()
     assert (_digest("\n".join(sorted(repr(tuple(r)) for r in rows)))
             == RAHA_BARAN_PINNED[name])
+
+
+@pytest.mark.parametrize("name", sorted(RETCLEAN_PINNED))
+def test_retclean_rows_are_pinned(spark, name):
+    from repro.baselines import retclean_clean
+
+    rows = retclean_clean(load(name).spark_dirty(spark)).collect()
+    assert (_digest("\n".join(sorted(repr(tuple(r)) for r in rows)))
+            == RETCLEAN_PINNED[name])
 
 
 def test_cocoon_cleaned_approaches_truth_on_hospital(spark):

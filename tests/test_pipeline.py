@@ -163,10 +163,13 @@ def test_exact_duplicate_rows_removed(spark):
     assert list(out["row_id"]) == ["0", "2"]
 
 
-def test_numeric_step_skips_column_the_type_step_merged(spark):
+def test_numeric_step_skips_column_the_type_step_merged():
     """The numeric step sees the distinct count taken before the type
     step, so a column whose renderings the type step folds together (as
-    Movies ``duration``) gets no range review."""
+    Movies ``duration``) gets no range review. Planning needs only the
+    table's value cube, no SparkSession."""
+    from repro.profiling import fd
+
     class RangeLog(SimulatedLLM):
         def __init__(self):
             super().__init__()
@@ -178,7 +181,6 @@ def test_numeric_step_skips_column_the_type_step_merged(spark):
 
     minutes = [90, 100, 110, 130]
     pdf = pd.DataFrame({
-        "row_id": [str(i) for i in range(40)],
         # "1 hour 40 min" and "100 min" both become "100.0"
         "duration": [f"{m // 60} hour {m % 60} min" if i // 4 % 2
                      else f"{m} min" for i, m in enumerate(minutes * 10)],
@@ -186,11 +188,49 @@ def test_numeric_step_skips_column_the_type_step_merged(spark):
         "runtime": [f"{m} min" for m in minutes * 10],
     }).astype(object)
     llm = RangeLog()
-    rep = CocoonPipeline(llm).clean(to_spark_strings(spark, pdf), "durations")
-    typed = {s.column for s in rep.steps
+    _, steps = CocoonPipeline(llm).plan(fd.Cube.of(pdf), "durations")
+    typed = {s.column for s in steps
              if s.step == "column_type" and s.detected}
     assert typed == {"duration", "runtime"}
     assert llm.reviewed == ["runtime"]
+
+
+def test_duplicates_removed_without_row_id(spark):
+    """A table with no ``row_id`` keeps one row of each duplicated
+    content, and DuckDB keeps the same rows."""
+    rows = [("x", "1"), ("x", "1"), ("y", "2"), (None, "3"), (None, "3"),
+            ("z", None)] + [(f"v{i}", str(i)) for i in range(14)]
+    pdf = pd.DataFrame(rows, columns=["a", "b"]).astype(object)
+    rep = CocoonPipeline(SimulatedLLM()).clean(
+        to_spark_strings(spark, pdf), "pairs")
+    assert "removed" in [s for s in rep.steps
+                         if s.step == "duplication"][0].summary
+    out = rep.cleaned.toPandas().astype(object)
+    assert len(out) == len(pdf.drop_duplicates()) == 18
+    assert_equivalent(rep.cleaned, rep.sql, cocoon_pairs=pdf)
+
+
+def test_uniqueness_without_row_id_breaks_ties(spark):
+    """Without ``row_id`` a should-be-unique key keeps its latest row;
+    a tie on the order column is broken by every column, NULLs first,
+    and a NULL order value loses, the same way on Spark and DuckDB."""
+    n = 38
+    rows = [(f"O{i:02d}", f"2020-01-{i % 28 + 1:02d}", f"{i}.0")
+            for i in range(n)]
+    # O00: a second row with the same time and a NULL amount;
+    # O01: a second row with no time
+    rows += [("O00", "2020-01-01", None), ("O01", None, "99.0")]
+    pdf = pd.DataFrame(rows, columns=["order_id", "updated_time",
+                                      "amount"]).astype(object)
+    rep = CocoonPipeline(SimulatedLLM()).clean(
+        to_spark_strings(spark, pdf), "orders")
+    assert [s.summary for s in rep.steps if s.step == "uniqueness"] == [
+        "deduplicated on order_id keeping latest updated_time"]
+    out = rep.cleaned.toPandas().astype(object).set_index("order_id")
+    assert len(out) == n and out.index.is_unique
+    assert out.at["O00", "amount"] is None
+    assert out.at["O01", "updated_time"] == "2020-01-02"
+    assert_equivalent(rep.cleaned, rep.sql, cocoon_orders=pdf)
 
 
 def test_misplacement_swap(spark):
@@ -264,8 +304,8 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     _, (profs, repeated) = seen["rows"]
     (_, layers, _), _ = seen["sql"]
     stage_a = [l for l in layers if l.name in STAGE_A]
-    # the dedupe layers of stage C are the only non-project layers
-    stage_ab = [l for l in layers if l.kind == "project"]
+    # the dedupe layers of stage C are the only layers with keys
+    stage_ab = [l for l in layers if not l.key_cols]
     df_a = spark.sql(build_sql(view, stage_a, all_cols))
     df_c = spark.sql(build_sql(view, stage_ab, all_cols))
     _, profiles = seen["profile"]

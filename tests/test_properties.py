@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import sql_emit
-from repro.core.counts import FDRepair, Swap, fold, fold_counts, fold_cube
+from repro.core.counts import FDRepair, Swap, fold, fold_counts
+from repro.core.sql_emit import Layer, fold_layers
 from repro.llm import knowledge as kb
 from repro.profiling import fd, profile_cube, profile_cube_rows, profile_table
 from tests import reference_stats
@@ -142,45 +143,26 @@ FOLD_COLS = ["c0", "c1", "c2"]
 @st.composite
 def folded_tables(draw):
     """A small string table with NULLs and repeated rows, and a sequence
-    of stage A value maps (as ``(column, map)``), swaps and FD repairs
-    over values it holds."""
+    of layers over values it holds, each carrying one decision: a value
+    map (as ``{column: map}``), a swap or an FD repair."""
     pool = draw(st.lists(cell_text, min_size=1, max_size=4, unique=True))
     cell = st.none() | st.sampled_from(pool)
     rows = draw(st.lists(st.tuples(cell, cell, cell), max_size=12))
     values = st.lists(st.sampled_from(pool), min_size=1, unique=True)
-    rewrites = []
-    for _ in range(draw(st.integers(0, 3))):
+    layers = []
+    for k in range(draw(st.integers(0, 3))):
         a, b = draw(st.permutations(FOLD_COLS))[:2]
         kind = draw(st.sampled_from(["map", "swap", "fd"]))
         if kind == "map":
-            rewrites.append((a, draw(st.dictionaries(
-                st.sampled_from(pool), cell, min_size=1))))
+            decision = {a: draw(st.dictionaries(
+                st.sampled_from(pool), cell, min_size=1))}
         elif kind == "swap":
-            rewrites.append(Swap(a, b, tuple(draw(values)),
-                                 tuple(draw(values))))
+            decision = Swap(a, b, tuple(draw(values)), tuple(draw(values)))
         else:
-            rewrites.append(FDRepair(a, b, draw(st.dictionaries(
-                st.sampled_from(pool), st.sampled_from(pool), min_size=1))))
-    return rows, rewrites
-
-
-def _layer(k: int, r) -> sql_emit.Layer:
-    if isinstance(r, Swap):
-        return sql_emit.Layer(f"l{k}", exprs=dict(zip(
-            (r.a, r.b), sql_emit.swap_case(r))))
-    if isinstance(r, FDRepair):
-        return sql_emit.Layer(f"l{k}",
-                              exprs={r.rhs: sql_emit.fd_repair_case(r)})
-    column, values = r
-    return sql_emit.Layer(f"l{k}", exprs={
-        column: sql_emit.value_case(column, values)})
-
-
-def _fold(cube: fd.Cube, r) -> fd.Cube:
-    if isinstance(r, (Swap, FDRepair)):
-        return r.fold(cube)
-    column, values = r
-    return fold_cube(cube, {column: [values]})
+            decision = FDRepair(a, b, draw(st.dictionaries(
+                st.sampled_from(pool), st.sampled_from(pool), min_size=1)))
+        layers.append(Layer(f"l{k}", decision))
+    return rows, layers
 
 
 @settings(max_examples=25)
@@ -190,24 +172,24 @@ def _fold(cube: fd.Cube, r) -> fd.Cube:
 # every row of c0's 'x' and c1's 'y' is swapped out: their values stay
 # in the columns' dictionaries with no row
 @example(([("x", "y", None), ("x", "y", "z"), (None, "y", "x")],
-          [Swap("c0", "c1", ("x",), ("y",))]))
+          [Layer("l0", Swap("c0", "c1", ("x",), ("y",)))]))
 # the repair writes 'z', which c1 never held, and leaves NULLs NULL
 @example(([("a", "p", None), ("a", "q", "p"), ("a", None, None),
            ("b", "p", None), (None, "q", None)],
-          [FDRepair("c0", "c1", {"a": "z"})]))
+          [Layer("l0", FDRepair("c0", "c1", {"a": "z"}))]))
 # a value map merges 'a' into 'b' (and nulls 'c'): rows that become
 # equal are repeated rows
 @example(([("a", "p", None), ("b", "p", None), ("c", "p", None),
            (None, "p", None)],
-          [("c0", {"a": "b", "c": None})]))
+          [Layer("l0", {"c0": {"a": "b", "c": None}})]))
 def test_cube_fold_matches_spark_over_the_sql(spark, table):
-    """The driver fold of value maps, swaps and FD repairs over a coded
-    value cube gives the profiles and repeated rows (keys byte for
-    byte) that Spark's ``to_json`` row profile gives over the rendered
-    SQL; the unfolded cube equals the Spark ``groupBy`` cube (as a
-    multiset of rows and counts) and its profiles are
-    ``profile_table``'s."""
-    rows, rewrites = table
+    """The driver fold of layers of value maps, swaps and FD repairs over
+    a coded value cube (the pipeline's layer walk) gives the profiles
+    and repeated rows (keys byte for byte) that Spark's ``to_json`` row
+    profile gives over the same layers' SQL; the unfolded cube equals
+    the Spark ``groupBy`` cube (as a multiset of rows and counts) and
+    its profiles are ``profile_table``'s."""
+    rows, layers = table
     df = spark.createDataFrame(rows, ", ".join(f"{c} string"
                                                for c in FOLD_COLS))
     df.createOrReplaceTempView("prop_fold")
@@ -219,12 +201,8 @@ def test_cube_fold_matches_spark_over_the_sql(spark, table):
                                                         name=None)),
                           ref_n.tolist())))
     assert profile_cube(cube) == profile_table(df, FOLD_COLS)
-    for r in rewrites:
-        cube = _fold(cube, r)
-    profs, repeated = profile_cube_rows(cube)
-    sql = sql_emit.build_sql(
-        "prop_fold", [_layer(k, r) for k, r in enumerate(rewrites)],
-        FOLD_COLS)
+    profs, repeated = profile_cube_rows(fold_layers(cube, layers))
+    sql = sql_emit.build_sql("prop_fold", layers, FOLD_COLS)
     want_profs, want_repeated = reference_stats.profile_rows(
         spark.sql(sql), FOLD_COLS)
     assert profs == want_profs

@@ -111,8 +111,7 @@ def test_build_sql_empty_layers_is_identity():
 
 
 def test_project_layer_passes_untouched_columns():
-    layer = Layer("l1", exprs={"a": sql_emit.value_case("a", {"x": "z"})},
-                  comments=["why"])
+    layer = Layer("l1", {"a": {"x": "z"}}, comments=["why"])
     sql = build_sql("t", [layer], ["row_id", "a", "b"])
     assert "-- why" in sql
     con = duckdb.connect()
@@ -123,9 +122,9 @@ def test_project_layer_passes_untouched_columns():
 
 
 def test_window_dedupe_layer_keeps_first_by_order():
-    layer = Layer("dedupe", kind="window_dedupe",
-                  key_cols=["a", "b"], order_col="row_id")
+    layer = Layer("dedupe", key_cols=["a", "b"])
     sql = build_sql("t", [layer], ["row_id", "a", "b"])
+    assert "ORDER BY row_id)" in sql
     con = duckdb.connect()
     con.register("t", _toy())
     out = con.execute(sql).fetchdf().sort_values("row_id")
@@ -133,10 +132,9 @@ def test_window_dedupe_layer_keeps_first_by_order():
 
 
 def test_window_dedupe_desc_order():
-    layer = Layer("dedupe", kind="window_dedupe",
-                  key_cols=["a"], order_col="b", order_desc=True)
+    layer = Layer("dedupe", key_cols=["a"], order_col="b")
     sql = build_sql("t", [layer], ["row_id", "a", "b"])
-    assert "ORDER BY b DESC" in sql
+    assert "ORDER BY b DESC)" in sql
     con = duckdb.connect()
     con.register("t", _toy())
     out = con.execute(sql).fetchdf().sort_values("row_id")
@@ -145,8 +143,8 @@ def test_window_dedupe_desc_order():
 
 
 def test_layers_nest_in_order():
-    l1 = Layer("s1", exprs={"a": sql_emit.value_case("a", {"x": "y"})})
-    l2 = Layer("s2", exprs={"a": sql_emit.value_case("a", {"y": "w"})})
+    l1 = Layer("s1", {"a": {"x": "y"}})
+    l2 = Layer("s2", {"a": {"y": "w"}})
     sql = build_sql("t", [l1, l2], ["row_id", "a", "b"])
     con = duckdb.connect()
     con.register("t", _toy())
@@ -154,9 +152,22 @@ def test_layers_nest_in_order():
     assert set(out["a"]) == {"w"}  # x -> y -> w through both layers
 
 
-def test_unknown_layer_kind_raises():
-    with pytest.raises(ValueError):
-        Layer("bad", kind="nope").render("t", ["a"])
+def test_window_dedupe_without_row_id_breaks_ties_by_every_column():
+    """With no ``row_id`` the window orders by the layer's order column,
+    then by every column with an explicit ``NULLS FIRST`` (DuckDB puts
+    NULLs last by default, Spark first), so both engines keep the same
+    row of a tied group."""
+    layer = Layer("dedupe", key_cols=["a"], order_col="b")
+    sql = build_sql("t", [layer], ["a", "b", "c"])
+    assert ("ORDER BY b DESC, a NULLS FIRST, b NULLS FIRST, "
+            "c NULLS FIRST)") in sql
+    con = duckdb.connect()
+    con.register("t", pd.DataFrame({"a": ["x", "x", "x", "y"],
+                                    "b": ["2", "2", "1", None],
+                                    "c": ["p", None, "q", "r"]}))
+    out = con.execute(sql).fetchdf().sort_values("a")
+    assert out.astype(object).where(out.notna(), None).values.tolist() == [
+        ["x", "2", None], ["y", None, "r"]]
 
 
 def test_spark_and_duckdb_agree_on_emitted_sql(spark):
@@ -170,10 +181,8 @@ def test_spark_and_duckdb_agree_on_emitted_sql(spark):
         "note": ["it's fine", None, "x"],
     })
     layers = [
-        Layer("fixes", exprs={
-            "city": sql_emit.value_case("city", {"Birminghxm": "Birmingham"}),
-        }),
-        Layer("dmv", exprs={"city": sql_emit.value_case("city", {"N/A": None})}),
+        Layer("fixes", {"city": {"Birminghxm": "Birmingham"}}),
+        Layer("dmv", {"city": {"N/A": None}}),
     ]
     sql = build_sql("emit_check", layers, ["row_id", "city", "note"])
     sdf = to_spark_strings(spark, pdf)
@@ -184,9 +193,9 @@ def test_spark_and_duckdb_agree_on_emitted_sql(spark):
 def test_backslash_literals_agree_on_spark_and_duckdb(spark):
     """A backslash in a value-map key and target, a swap ``IN`` list and
     an FD-repair key: Spark and DuckDB read the same values, and the
-    result is what the decisions' folds compute."""
+    result is what the layers' fold computes."""
     from repro.benchdata.base import to_spark_strings
-    from repro.core.counts import fold_cube
+    from repro.core.sql_emit import fold_layers
     from repro.oracle import assert_equivalent
     from repro.profiling import fd
     from tests import reference_stats
@@ -200,20 +209,18 @@ def test_backslash_literals_agree_on_spark_and_duckdb(spark):
     values = {"Bost\\on": "Boston", "Boston": "Bo\\ston"}
     swap = Swap("city", "state", ("C:\\dir",), ("C:\\dir", "x\\"))
     repair = FDRepair("zip", "state", {"0\\2": "M\\A"})
-    a_expr, b_expr = sql_emit.swap_case(swap)
     layers = [
-        Layer("fixes", exprs={"city": sql_emit.value_case("city", values)}),
-        Layer("swap", exprs={"city": a_expr, "state": b_expr}),
-        Layer("fd", exprs={"state": sql_emit.fd_repair_case(repair)}),
+        Layer("fixes", {"city": values}),
+        Layer("swap", swap),
+        Layer("fd", repair),
     ]
     cols = ["row_id", "city", "state", "zip"]
     sql = build_sql("emit_backslash", layers, cols)
     to_spark_strings(spark, pdf).createOrReplaceTempView("emit_backslash")
     got = spark.sql(sql)
     assert_equivalent(got, sql, emit_backslash=pdf)
-    cube = fold_cube(fd.Cube.of(pdf), {"city": [values]})
-    want = [list(row) for row, _ in
-            reference_stats.cube_rows(repair.fold(swap.fold(cube)))]
+    cube = fold_layers(fd.Cube.of(pdf), layers)
+    want = [list(row) for row, _ in reference_stats.cube_rows(cube)]
     assert want == [
         ["0", "Boston", "M\\A", "0\\2"],
         ["1", "x\\", "C:\\dir", "x"],

@@ -1,14 +1,15 @@
 """Direct tests for the table-level core steps (duplication,
 misplacement) on the statistics the pipeline gives them: repeated rows
 and folded joint counts, built here from plain rows. Each returns a
-``TableOutcome``: the finished SQL layers and the step reports the
-pipeline appends."""
+``TableOutcome``: the layers, each carrying its decision, and the step
+reports the pipeline appends."""
 import json
 from collections import Counter
 
 import pandas as pd
 
 from repro.core import StepReport
+from repro.core.counts import Swap
 from repro.core.duplication import clean_duplication
 from repro.core.misplacement import (
     _dominant_domain,
@@ -50,9 +51,10 @@ def test_duplication_detected_and_deduped():
     r = clean_duplication("orders", ["a", "b"],
                           _repeated(rows, ["a", "b"]), LLM)
     (layer,) = r.layers
-    assert layer.kind == "window_dedupe"
-    assert (layer.key_cols, layer.order_col) == (["a", "b"], "row_id")
-    assert not layer.order_desc
+    assert layer.decision == {}
+    # no order column: the window keeps the first copy by row_id
+    assert (layer.key_cols, layer.order_col) == (["a", "b"], None)
+    assert "ORDER BY row_id)" in layer.render("t", ["row_id", "a", "b"])
     assert r.steps == (StepReport("duplication", None, True,
                                   "1 surplus duplicate rows; removed"),)
 
@@ -110,12 +112,13 @@ def test_clean_misplacement_detects_swapped_pair():
     }
     r = _misplacement(rows, counts)
     (layer,) = r.layers
-    assert layer.kind == "project" and layer.name == "clean_misplacement_0"
+    assert not layer.key_cols and layer.name == "clean_misplacement_0"
+    assert layer.decision == Swap("country", "language", ("eng",), ("USA",))
     cond = "country IN ('eng') AND language IN ('USA')"
-    assert layer.exprs == {
-        "country": f"CASE WHEN {cond} THEN language ELSE country END",
-        "language": f"CASE WHEN {cond} THEN country ELSE language END",
-    }
+    assert layer.render("t", ["country", "language", "other"]).endswith(
+        f"SELECT CASE WHEN {cond} THEN language ELSE country END AS country,"
+        f"\n        CASE WHEN {cond} THEN country ELSE language END "
+        "AS language,\n        other\n    FROM t")
     assert r.steps == (StepReport("misplacement", "country/language", True,
                                   "swapped 5 misplaced value pairs"),)
 
@@ -156,8 +159,6 @@ def test_clean_misplacement_skips_swap_sharing_a_column():
     r = _misplacement(rows, counts, llm)
     assert llm.calls == 2
     (layer,) = r.layers
-    assert set(layer.exprs) == {"country", "language"}
-    cond = "country IN ('eng') AND language IN ('USA')"
-    assert cond in layer.exprs["country"]
+    assert layer.decision == Swap("country", "language", ("eng",), ("USA",))
     assert r.steps == (StepReport("misplacement", "country/language", True,
                                   "swapped 5 misplaced value pairs"),)
