@@ -112,11 +112,11 @@ class Layer:
     turns into SQL and :func:`fold_layers` folds into a value cube;
     untouched columns pass through. A dedupe layer has ``key_cols``
     instead and keeps one row per key group: the one with the largest
-    ``order_col`` when it has one, else the first by ``row_id``. It
-    serves both §2.1.7 duplication (keys = all content columns) and
-    §2.1.8 uniqueness (keys = the key column). Without a ``row_id``,
-    ties are broken by every column, each ``NULLS FIRST``: Spark and
-    DuckDB put NULLs at opposite ends of an ascending sort.
+    ``order_col`` when it has one, ties broken by the smallest
+    ``row_id``. It serves both §2.1.7 duplication (keys = all content
+    columns) and §2.1.8 uniqueness (keys = the key column). Without a
+    ``row_id``, ties are broken by every column, each ``NULLS FIRST``:
+    Spark and DuckDB put NULLs at opposite ends of an ascending sort.
     """
 
     name: str
@@ -141,9 +141,11 @@ class Layer:
             return f"{comment}    SELECT {sel}\n    FROM {source}"
         keys = ", ".join(safe_ident(k) for k in self.key_cols)
         by = [f"{safe_ident(self.order_col)} DESC"] if self.order_col else []
-        if ROW_ID not in columns:
+        if ROW_ID in columns:
+            by.append(ROW_ID)
+        else:
             by += [f"{c} NULLS FIRST" for c in cols]
-        order, cols = ", ".join(by or [ROW_ID]), ", ".join(cols)
+        order, cols = ", ".join(by), ", ".join(cols)
         return (
             f"{comment}    SELECT {cols} FROM (\n"
             f"        SELECT {cols},\n"

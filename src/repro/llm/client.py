@@ -8,6 +8,7 @@ the reproduced tables are stable across runs.
 """
 from __future__ import annotations
 
+import string
 from typing import Protocol
 
 from repro.llm import knowledge as kb
@@ -45,11 +46,20 @@ class LLMClient(Protocol):
     def review_misplacement(self, col_a: str, col_b: str, n_evidence: int, sample: list[tuple[str, str]]) -> MisplacementReview: ...
 
 
+#: ``str.translate`` table deleting ASCII letters and digits, which are
+#: all of an ASCII string's ``str.isalnum`` characters
+_ASCII_ALNUM = dict.fromkeys(
+    ord(c) for c in string.ascii_letters + string.digits)
+
+
 def _digit_heavy(v: str) -> bool:
-    alnum = [c for c in v if c.isalnum()]
-    if not alnum:
-        return False
-    return sum(c.isdigit() for c in alnum) / len(alnum) > 0.5
+    """Whether most of ``v``'s alphanumeric characters are digits."""
+    if v.isascii():
+        alnum = len(v) - len(v.translate(_ASCII_ALNUM))
+    else:
+        alnum = sum(c.isalnum() for c in v)
+    digits = len(v) - len(kb.strip_digits(v))  # every digit is alphanumeric
+    return alnum > 0 and digits / alnum > 0.5
 
 
 def _concept_key(value: str) -> tuple[str, object] | None:
@@ -69,22 +79,24 @@ def _concept_key(value: str) -> tuple[str, object] | None:
 class _StringIndex:
     """One string-review prompt's value list, indexed once for every value.
 
-    Holds each concept group's size and most common form, the typo
-    candidates bucketed by the length of their lower-cased form (most
-    frequent first, with lower-cased and digit-stripped forms), and the
-    fixes computed so far, keyed by ``(value, frequency)`` — so the
-    cleaning prompt over the same list reuses the review's decisions.
+    Holds each value's concept key, each concept group's size and most
+    common form, the typo candidates bucketed by the length of their
+    lower-cased form (most frequent first, with lower-cased and
+    digit-stripped forms), and the fixes computed so far, keyed by
+    ``(value, frequency)`` — so the cleaning prompt over the same list
+    reuses the review's decisions.
     """
 
     def __init__(self, values: tuple[tuple[str, int], ...]) -> None:
         self.values = values
         self.fixes: dict[tuple[str, int], str | None] = {}
+        self.concept_keys: dict[str, tuple[str, object] | None] = {}
         groups: dict[tuple[str, object], list[tuple[str, int]]] = {}
         self.by_len: dict[int, list[tuple[int, str, str, str]]] = {}
         for v, c in values:
             if v is None:
                 continue
-            ck = _concept_key(v)
+            ck = self.concept_key(v)
             if ck is not None:
                 groups.setdefault(ck, []).append((v, c))
             low = v.lower()
@@ -97,6 +109,12 @@ class _StringIndex:
         }
         for bucket in self.by_len.values():
             bucket.sort(key=lambda e: -e[0])
+
+    def concept_key(self, value: str) -> tuple[str, object] | None:
+        """``value``'s :func:`_concept_key`, computed once per value."""
+        if value not in self.concept_keys:
+            self.concept_keys[value] = _concept_key(value)
+        return self.concept_keys[value]
 
 
 class SimulatedLLM:
@@ -140,7 +158,7 @@ class SimulatedLLM:
         if value is None or kb.is_dmv_token(value) or kb.boolean_token(value) is not None:
             return None
         # inconsistent representation of a known concept -> most common form
-        ck = _concept_key(value)
+        ck = index.concept_key(value)
         if ck is not None:
             size, rep = index.concepts.get(ck, (0, None))
             if size > 1 and rep != value:
@@ -231,21 +249,21 @@ class SimulatedLLM:
     def review_patterns(self, column: str,
                         values: ValueCounts) -> PatternReview:
         self.calls += 1
+        shape_by_value: dict[str, str] = {}
         shapes: dict[str, int] = {}
         for v, c in values:
             if v is None or kb.is_dmv_token(v):
                 continue
-            shapes[kb.shape_of(v)] = shapes.get(kb.shape_of(v), 0) + c
+            s = shape_by_value[v] = kb.shape_of(v)
+            shapes[s] = shapes.get(s, 0) + c
         shape_counts = sorted(shapes.items(), key=lambda kv: -kv[1])
         prompt = prompts.pattern_review(column, shape_counts)
         patterns = tuple(kb.shape_to_regex(s) for s, _ in shape_counts)
         mapping: dict[str, str] = {}
         if len(shape_counts) > 1:
             majority = shape_counts[0][0]
-            for v, _ in values:
-                if v is None or kb.is_dmv_token(v):
-                    continue
-                if kb.shape_of(v) == majority:
+            for v, s in shape_by_value.items():
+                if s == majority:
                     continue
                 fixed = self._reshape(v, majority)
                 if fixed is not None and fixed != v:
@@ -269,11 +287,10 @@ class SimulatedLLM:
         if stripped != value and kb.shape_of(stripped) == target_shape:
             return stripped
         # ISO date <-> US date conversion
-        import re
-        iso = re.match(r"^(\d{4})-(\d{2})-(\d{2})$", value.strip())
+        iso = kb.ISO_DATE_RE.match(value.strip())
         if iso and target_shape in ("99/99/9999", "9/9/9999"):
             return f"{int(iso.group(2)):02d}/{int(iso.group(3)):02d}/{iso.group(1)}"
-        us = re.match(r"^(\d{1,2})/(\d{1,2})/(\d{4})$", value.strip())
+        us = kb.US_DATE_RE.match(value.strip())
         if us and target_shape == "9999-99-99":
             return f"{us.group(3)}-{int(us.group(1)):02d}-{int(us.group(2)):02d}"
         return None

@@ -155,10 +155,21 @@ def edit_distance(a: str, b: str, cap: int = 3) -> int:
     half-width ``cap - 1`` is computed (Ukkonen, 1985); cells outside
     it stand in as ``cap``. A row whose band minimum reaches ``cap``
     ends the scan.
+
+    Before the DP, ``a`` is cut into ``cap`` disjoint pieces: ``cap - 1``
+    edits touch at most ``cap - 1`` of them, so a distance below ``cap``
+    leaves one piece intact in ``b`` (the pigeonhole filter of
+    Wu and Manber, 1992). An empty piece always passes.
     """
     if a == b:
         return 0
     if abs(len(a) - len(b)) >= cap:
+        return cap
+    n = len(a)
+    for i in range(cap):
+        if a[i * n // cap:(i + 1) * n // cap] in b:
+            break
+    else:
         return cap
     k = cap - 1
     m = len(b)
@@ -185,8 +196,15 @@ def typo_budget(value: str) -> int:
     return 1 if len(value) <= 6 else 2
 
 
+#: ``str.translate`` table deleting the ten ASCII digits, which are all
+#: of an ASCII string's ``str.isdigit`` characters
+_ASCII_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
+
+
 def strip_digits(value: str) -> str:
     """``value`` without its digit characters."""
+    if value.isascii():
+        return value.translate(_ASCII_DIGITS)
     return "".join(ch for ch in value if not ch.isdigit())
 
 
@@ -327,10 +345,10 @@ def parse_rating(value: str) -> float | None:
 
 _INT_RE = re.compile(r"^\s*-?\d+\s*$")
 _FLOAT_RE = re.compile(r"^\s*-?\d+\.\d+\s*$")
-_DATE_RES = (
-    re.compile(r"^\d{1,2}/\d{1,2}/\d{4}$"),
-    re.compile(r"^\d{4}-\d{2}-\d{2}$"),
-)
+#: month/day/year and ISO dates; the groups are the fields in order
+US_DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$")
+ISO_DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
+_DATE_RES = (US_DATE_RE, ISO_DATE_RE)
 
 
 def is_int_string(v: str) -> bool:
@@ -406,24 +424,22 @@ def boolean_token(value: str) -> bool | None:
 # Shape patterns (for pattern-outlier reasoning)
 # ---------------------------------------------------------------------------
 
+#: an ASCII character's shape class: digit -> "9", letter -> "a"
+_ASCII_SHAPE = "".join("9" if c.isdigit() else "a" if c.isalpha() else c
+                       for c in map(chr, range(128)))
+_LETTER_RUN = re.compile("a{2,}")
+
+
 def shape_of(value: str) -> str:
     """Collapse a value to its character-class shape, e.g. "99/99/9999"."""
-    out = []
-    for ch in value:
-        if ch.isdigit():
-            out.append("9")
-        elif ch.isalpha():
-            out.append("a")
-        else:
-            out.append(ch)
+    if value.isascii():
+        classes = value.translate(_ASCII_SHAPE)
+    else:
+        classes = "".join("9" if ch.isdigit() else "a" if ch.isalpha() else ch
+                          for ch in value)
     # run-length collapse of letters only: shapes of words shouldn't depend
     # on word length, but digit-group lengths are semantically meaningful
-    collapsed: list[str] = []
-    for ch in out:
-        if ch == "a" and collapsed and collapsed[-1] == "a":
-            continue
-        collapsed.append(ch)
-    return "".join(collapsed)
+    return _LETTER_RUN.sub("a", classes)
 
 
 def shape_to_regex(shape: str) -> str:

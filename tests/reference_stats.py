@@ -8,6 +8,10 @@ duplicate-row count from a ``groupBy`` over the row's columns; and the
 one-pass row profile whose row key is Spark's ``to_json``. The tests
 check the value cube, its folds, the FD candidates and the profiles
 derived from it against them.
+
+It also keeps the simulated LLM's character-class kernels as
+character loops over ``str.isdigit``, ``str.isalpha`` and
+``str.isalnum``, which the tests check the ASCII fast paths against.
 """
 from __future__ import annotations
 
@@ -213,3 +217,40 @@ def profile_rows(
     return (_profiles(zip(cols["__col"].tolist(), cols["__val"].tolist(),
                           cols["count"].tolist()), columns, top_k=0),
             list(zip(rows["__val"].tolist(), rows["count"].tolist())))
+
+
+# ---------------------------------------------------------------------------
+# the simulated LLM's character-class kernels, one character at a time
+# ---------------------------------------------------------------------------
+
+def shape_of(value: str) -> str:
+    """``knowledge.shape_of``: digits -> "9", letters -> "a", runs of
+    "a" collapsed, every other character kept."""
+    out = []
+    for ch in value:
+        if ch.isdigit():
+            out.append("9")
+        elif ch.isalpha():
+            out.append("a")
+        else:
+            out.append(ch)
+    collapsed: list[str] = []
+    for ch in out:
+        if ch == "a" and collapsed and collapsed[-1] == "a":
+            continue
+        collapsed.append(ch)
+    return "".join(collapsed)
+
+
+def strip_digits(value: str) -> str:
+    """``knowledge.strip_digits``: ``value`` without its digits."""
+    return "".join(ch for ch in value if not ch.isdigit())
+
+
+def digit_heavy(v: str) -> bool:
+    """``client._digit_heavy``: more than half of the alphanumerics are
+    digits."""
+    alnum = [c for c in v if c.isalnum()]
+    if not alnum:
+        return False
+    return sum(c.isdigit() for c in alnum) / len(alnum) > 0.5

@@ -123,9 +123,10 @@ def test_uniqueness_plans_for_near_unique_key():
     (layer,) = r.layers
     assert (layer.name, layer.decision) == ("clean_uniqueness_order_id", {})
     assert layer.key_cols == ["order_id"]
-    # the dedupe keeps the row with the largest (latest) order column
+    # the dedupe keeps the row with the largest (latest) order column,
+    # ties broken by row_id
     assert layer.order_col == "updated_time"
-    assert "ORDER BY updated_time DESC)" in layer.render(
+    assert "ORDER BY updated_time DESC, row_id)" in layer.render(
         "t", ["row_id", "order_id", "updated_time"])
     assert r.steps == (StepReport(
         "uniqueness", "order_id", True,

@@ -233,6 +233,30 @@ def test_uniqueness_without_row_id_breaks_ties(spark):
     assert_equivalent(rep.cleaned, rep.sql, cocoon_orders=pdf)
 
 
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_uniqueness_breaks_ties_by_row_id(spark, partitions):
+    """A tie on the order column keeps the key group's first ``row_id``
+    whatever order the rows arrive in and however they are partitioned,
+    and DuckDB keeps the same row."""
+    n = 38
+    rows = [(f"O{i:02d}", f"2020-01-{i % 28 + 1:02d}", f"{i}.0")
+            for i in range(n)]
+    # O00: a second row with the same time; O01: a second with no time
+    rows += [("O00", "2020-01-01", "77.0"), ("O01", None, "99.0")]
+    pdf = pd.DataFrame(rows, columns=["order_id", "updated_time",
+                                      "amount"]).astype(object)
+    pdf.insert(0, "row_id", [str(i) for i in range(len(pdf))])
+    rep = CocoonPipeline(SimulatedLLM()).clean(
+        to_spark_strings(spark, pdf.iloc[::-1]).repartition(partitions),
+        "orders")
+    assert "ORDER BY updated_time DESC, row_id)" in rep.sql
+    out = rep.cleaned.toPandas().astype(object).set_index("order_id")
+    assert len(out) == n and out.index.is_unique
+    assert out.at["O00", "row_id"] == "0"
+    assert out.at["O01", "row_id"] == "1"
+    assert_equivalent(rep.cleaned, rep.sql, cocoon_orders=pdf)
+
+
 def test_misplacement_swap(spark):
     rows = []
     for i in range(30):

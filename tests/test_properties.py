@@ -10,6 +10,7 @@ from repro.core import sql_emit
 from repro.core.counts import FDRepair, Swap, fold, fold_counts
 from repro.core.sql_emit import Layer, fold_layers
 from repro.llm import knowledge as kb
+from repro.llm.client import _digit_heavy
 from repro.profiling import fd, profile_cube, profile_cube_rows, profile_table
 from tests import reference_stats
 
@@ -120,14 +121,64 @@ def _levenshtein(a: str, b: str) -> int:
 
 
 # "İ".lower() is two characters long, so the lower-cased forms the
-# string review compares can differ in length from the values
-typo_text = st.text(alphabet="abcxİı .1", max_size=12)
+# string review compares can differ in length from the values. A small
+# alphabet makes the pieces of the pigeonhole filter recur in unrelated
+# strings, and an edited copy keeps most of them: the filter both
+# passes and rejects pairs.
+TYPO_ALPHABET = "abİı .1"
+typo_text = st.text(alphabet=TYPO_ALPHABET, max_size=40)
 
 
-@given(typo_text, typo_text, st.integers(1, 4))
-def test_edit_distance_matches_full_matrix(a, b, cap):
-    for x, y in ((a, b), (a.lower(), b.lower())):
+@st.composite
+def edited(draw, text: str) -> str:
+    """``text`` after up to five random single-character edits."""
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(TYPO_ALPHABET))
+        op = draw(st.sampled_from(("sub", "del", "ins")))
+        if op == "sub":
+            text = text[:i] + ch + text[i + 1:]
+        elif op == "del":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + ch + text[i:]
+    return text
+
+
+@settings(max_examples=300)
+@given(typo_text.flatmap(lambda a: st.tuples(st.just(a),
+                                             typo_text | edited(a))),
+       st.integers(1, 4))
+# no piece of "aaaabbbb" survives in "abababab": rejected by the filter
+@example(("aaaabbbb", "abababab"), 2)
+# "ab" survives in "abba ..": passes the filter, and the DP says far
+@example(("abab1111", "abba...."), 4)
+# three edits at cap 4: one of four pieces survives
+@example(("aaaa bbbb 1111 ....", "aaxa bbb 1111 .x..."), 4)
+def test_edit_distance_matches_full_matrix(pair, cap):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a.lower(), b.lower())):
         assert kb.edit_distance(x, y, cap=cap) == min(_levenshtein(x, y), cap)
+
+
+#: ASCII, which the kernels translate by table, and non-ASCII
+#: characters, which they classify one at a time: superscript two and
+#: Arabic-Indic three are digits, one half is alphanumeric but no
+#: digit, dotted I and sharp s are letters, and a combining acute is
+#: none of them
+kernel_text = (st.text(st.characters(max_codepoint=127), max_size=16)
+               | st.text(st.characters(max_codepoint=127)
+                         | st.sampled_from("²٣½İß\u0301"), max_size=16))
+
+
+@settings(max_examples=300)
+@given(kernel_text)
+@example("12/01/2011")
+@example("Straße ²½ 1٣")
+def test_character_kernels_match_their_loops(v):
+    assert kb.shape_of(v) == reference_stats.shape_of(v)
+    assert kb.strip_digits(v) == reference_stats.strip_digits(v)
+    assert _digit_heavy(v) == reference_stats.digit_heavy(v)
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,12 @@ def test_window_dedupe_layer_keeps_first_by_order():
 def test_window_dedupe_desc_order():
     layer = Layer("dedupe", key_cols=["a"], order_col="b")
     sql = build_sql("t", [layer], ["row_id", "a", "b"])
-    assert "ORDER BY b DESC)" in sql
+    assert "ORDER BY b DESC, row_id)" in sql
     con = duckdb.connect()
     con.register("t", _toy())
     out = con.execute(sql).fetchdf().sort_values("row_id")
-    # keeps the max-b row per a-group
-    assert set(out["row_id"]) == {"0", "3"} or set(out["row_id"]) == {"1", "3"}
+    # keeps the max-b row per a-group; the tied x-group keeps row_id 0
+    assert list(out["row_id"]) == ["0", "3"]
 
 
 def test_layers_nest_in_order():
