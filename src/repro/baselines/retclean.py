@@ -29,6 +29,7 @@ def retclean_clean(dirty: DataFrame) -> DataFrame:
     cols = [c for c in dirty.columns if c != "row_id"]
     profiles = profile_cube(value_cube(dirty, cols))
     layer = Layer("retclean_fallback")
+    word_fixes: dict[str, str | None] = {}
     for col in cols:
         prof = profiles[col]
         if prof.unique_ratio <= 0.9 or not prof.top_values:
@@ -40,7 +41,7 @@ def retclean_clean(dirty: DataFrame) -> DataFrame:
             continue
         mapping = {}
         for v, _c in prof.top_values:
-            fixed = kb.fix_words(v)
+            fixed = kb.fix_words(v, word_fixes)
             if fixed is not None and fixed != v:
                 mapping[v] = fixed
         if mapping:

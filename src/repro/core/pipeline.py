@@ -21,10 +21,13 @@ oracle re-executes in tests).
 ``CocoonPipeline.clean`` runs one Spark job, and only the input is
 cached: a :func:`~repro.profiling.fd.value_cube` of the input over
 every content column, one :class:`~repro.profiling.fd.Cube` (a scan
-with no aggregate): the distinct rows with their counts, each column
-coded once into integer codes over its distinct values. ``plan``
-derives every statistic the three stages read from those codes on the
-driver, and no pass codes a column's rows again:
+with no aggregate, projected by one ``selectExpr`` and collected with
+``toArrow()``, so planning builds no PySpark ``Column``): the distinct
+rows with their counts, each Arrow column dictionary-encoded once into
+integer codes over its distinct values. ``plan`` derives every
+statistic the three stages read from those codes on the driver, no
+pass codes a column's rows again, and none depends on the order of the
+cube's rows:
 
 * stage A: each column's profile is the cube's marginal
   (:func:`~repro.profiling.profile_cube`), and the row count is the sum

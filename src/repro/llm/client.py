@@ -136,6 +136,8 @@ class SimulatedLLM:
     def __init__(self) -> None:
         self.calls = 0  # prompt counter, reported in cleaning summaries
         self._string_index: _StringIndex | None = None
+        # each word's dictionary repair (knowledge.fix_words)
+        self._word_fixes: dict[str, str | None] = {}
 
     # -- string outliers (§2.1.1, Figs. 2-3) --------------------------------
 
@@ -170,7 +172,7 @@ class SimulatedLLM:
             return best
         # open-vocabulary dictionary typo (titles, names, free text)
         if not _digit_heavy(value):
-            fixed = kb.fix_words(value)
+            fixed = kb.fix_words(value, self._word_fixes)
             if fixed is not None:
                 return fixed
         return None

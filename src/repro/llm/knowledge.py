@@ -13,7 +13,6 @@ datasets contain real-world entities that a real LLM knows about.
 """
 from __future__ import annotations
 
-import functools
 import re
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,6 @@ def _dict_candidates(word: str) -> list[str]:
     return out
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def _dictionary_fix(word: str) -> str | None:
     """The repair of lower-cased ``word``, or ``None`` to keep it.
 
@@ -254,7 +252,8 @@ def _dictionary_fix(word: str) -> str | None:
     return pool[0] if len(set(pool)) == 1 else None
 
 
-def fix_words(text: str) -> str | None:
+def fix_words(text: str,
+              memo: dict[str, str | None] | None = None) -> str | None:
     """Dictionary-based word-level typo repair.
 
     Each alphabetic token not in :data:`DICTIONARY` is replaced by its
@@ -262,7 +261,12 @@ def fix_words(text: str) -> str | None:
     letter preferred, as humans rarely mistype the first letter). Returns
     the repaired string, or ``None`` when nothing needed fixing or a
     token had no unambiguous repair.
+
+    ``memo`` keeps each lower-cased word's repair between calls; its
+    owner decides how long it lives (a :class:`~repro.llm.SimulatedLLM`
+    keeps one per instance, so every fresh model does the same work).
     """
+    memo = {} if memo is None else memo
     changed = False
 
     def _fix(m: re.Match[str]) -> str:
@@ -272,7 +276,10 @@ def fix_words(text: str) -> str | None:
             return w
         if m.end() < len(text) and text[m.end()] == ".":
             return w  # abbreviation ("Card." in "Am. J. Card. Surg.")
-        fixed = _dictionary_fix(w.lower())
+        low = w.lower()
+        if low not in memo:
+            memo[low] = _dictionary_fix(low)
+        fixed = memo[low]
         if fixed is None:
             return w
         changed = True

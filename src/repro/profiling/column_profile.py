@@ -7,26 +7,30 @@ ordered by descending count with the value itself as a deterministic
 tie-break so profiles — and therefore every downstream LLM decision —
 are stable across runs.
 
-A profile comes from one of two sources, reduced on the driver by the
-same code:
+A profile comes from one of two sources:
 
 * :func:`profile_table` is **one** Spark job: the table is unpivoted to
   ``(column, value)`` cells, NULL cells included, and a single
   ``groupBy`` counts them. The counts are collected through Arrow and
-  everything else is derived on the driver: a count-distinct per column
-  would make Spark add an ``Expand`` and a two-level aggregate, and a
-  top-K window a second shuffle. No cleaner calls it any more; the
-  tests keep it as the reference :func:`profile_cube` is checked
-  against.
+  reduced on the driver from ``(column, value, count)`` tuples: a
+  count-distinct per column would make Spark add an ``Expand`` and a
+  two-level aggregate, and a top-K window a second shuffle. No cleaner
+  calls it any more; the tests keep it as the reference
+  :func:`profile_cube` is checked against.
 * :func:`profile_cube` marginalizes a value cube
   (:class:`repro.profiling.fd.Cube`: the distinct rows and their counts,
   one scan coded once and deduplicated on the driver) with a
-  ``bincount`` of each column's codes. Cocoon collects it once and
+  ``bincount`` of each column's codes, and reads each profile from
+  those count arrays: the top values are a sort on count, ties broken
+  by the values' code-point order. Cocoon collects the cube once and
   folds it through its cleaning decisions on the driver; Raha+Baran
   reads its FD statistics from the same cube, and RetClean only its
-  profiles. :func:`profile_cube_rows`
-  also finds a cube's exactly duplicated rows (§2.1.7) over its code
-  matrix, which :func:`duplicate_rows` summarizes.
+  profiles. :func:`profile_cube_rows` also finds a cube's exactly
+  duplicated rows (§2.1.7) over its code matrix, which
+  :func:`duplicate_rows` summarizes.
+
+Python's code-point order of ``str`` equals Spark's binary UTF-8
+order, so both sources break ties as a Spark sort would.
 """
 from __future__ import annotations
 
@@ -120,22 +124,42 @@ def profile_table(df: DataFrame,
                          counts["count"].tolist()), columns, TOP_K)
 
 
-def _cube_cells(cube: Cube) -> Iterator[tuple[str, str | None, int]]:
-    """Each column's marginal of a value cube, as ``_profiles`` cells:
-    a ``bincount`` of its codes; a value no row holds is left out."""
+def _marginals(cube: Cube
+               ) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """Each column of a value cube with its distinct values and its
+    ``bincount``: NULL's rows first, then each value's."""
     for c, codes, values in zip(cube.columns, cube.codes.T, cube.values):
         # float sums of integer counts are exact below 2**53 rows
-        n = np.bincount(codes + 1, weights=cube.rows,
-                        minlength=len(values) + 1).astype(np.int64)
-        yield c, None, int(n[0])
-        yield from ((c, v, k) for v, k in zip(values.tolist(),
-                                              n[1:].tolist()) if k)
+        yield c, values, np.bincount(
+            codes + 1, weights=cube.rows,
+            minlength=len(values) + 1).astype(np.int64)
+
+
+def _profile(name: str, values: np.ndarray, counts: np.ndarray,
+             top_k: int) -> ColumnProfile:
+    """A column's profile from its values and :func:`_marginals` counts;
+    a value no row holds is left out. The top values are ordered by
+    ``(-count, value)``: the held values sorted by value, then stably
+    by count."""
+    rows = counts[1:]
+    held = np.flatnonzero(rows)
+    top: tuple[tuple[str, int], ...] = ()
+    if top_k and len(held):
+        # str order is code-point order
+        by_value = np.array(sorted(held.tolist(),
+                                   key=values.tolist().__getitem__))
+        order = by_value[np.argsort(-rows[by_value], kind="stable")[:top_k]]
+        top = tuple(zip(values[order].tolist(), rows[order].tolist()))
+    return ColumnProfile(name=name, total=int(counts.sum()),
+                         nulls=int(counts[0]), n_distinct=len(held),
+                         top_values=top)
 
 
 def profile_cube(cube: Cube) -> dict[str, ColumnProfile]:
     """Every column's profile from a value cube; equal to
     :func:`profile_table` of the table the cube counts."""
-    return _profiles(_cube_cells(cube), cube.columns, TOP_K)
+    return {c: _profile(c, values, counts, TOP_K)
+            for c, values, counts in _marginals(cube)}
 
 
 #: how Spark's ``to_json`` escapes a string's characters: the short
@@ -168,7 +192,8 @@ def profile_cube_rows(
                   for values, k in zip(cube.values, codes[i].tolist())),
          int(n[i]))
         for i in np.flatnonzero(n > 1)]
-    return _profiles(_cube_cells(cube), cube.columns, top_k=0), repeated
+    return ({c: _profile(c, values, counts, 0)
+             for c, values, counts in _marginals(cube)}, repeated)
 
 
 def duplicate_rows(repeated: list[tuple[str, int]],

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -48,6 +49,13 @@ def groupby_value_cube(df: DataFrame, columns: list[str]
     )
     return (cube[keys].set_axis(columns, axis=1),
             cube["count"].to_numpy(dtype=np.int64))
+
+
+def string_table(frame: pd.DataFrame) -> pa.Table:
+    """A frame's columns as an Arrow table of strings, NULL as ``None``:
+    the shape ``fd.value_cube`` collects, for ``fd.Cube.of``."""
+    return pa.table({c: pa.array(frame[c].tolist(), pa.string())
+                     for c in frame.columns})
 
 
 def cube_rows(cube: fd.Cube) -> list[tuple[tuple[str | None, ...], int]]:

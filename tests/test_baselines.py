@@ -148,9 +148,9 @@ def test_raha_baran_is_deterministic(spark):
 
 def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch):
     """One value cube of the input serves the profiles and the FD
-    statistics: one ``toPandas``, nothing cached, each content column's
-    rows coded once, and the only statement handed to Spark is the
-    final one."""
+    statistics: one ``toArrow``, nothing cached, each content column's
+    rows coded once (one ``dictionary_encode``, and no ``factorize``),
+    and the only statement handed to Spark is the final one."""
     from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
 
     from repro.profiling import fd
@@ -158,6 +158,9 @@ def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch):
     b = load("hospital")
     df = b.spark_dirty(spark)
     actions, cached, statements, built, coded = [], [], [], [], []
+    encoded = []
+    monkeypatch.setattr(fd.pc, "dictionary_encode", lambda values, _orig=(
+        fd.pc.dictionary_encode): encoded.append(len(values)) or _orig(values))
     monkeypatch.setattr(fd, "factorize", lambda values, _orig=(
         fd.factorize): coded.append(len(values)) or _orig(values))
     monkeypatch.setattr(type(spark), "sql", lambda self, sql, _orig=type(
@@ -179,9 +182,10 @@ def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch):
             return _orig(self, *args, **kwargs)
         monkeypatch.setattr(ClassicDataFrame, name, kept)
     raha_baran_clean(b, df)
-    assert actions == ["toPandas"]
+    assert actions == ["toArrow"]
     assert cached == []
-    assert coded.count(len(b.dirty)) == len(df.columns) - 1
+    assert encoded == [len(b.dirty)] * (len(df.columns) - 1)
+    assert len(b.dirty) not in coded
     assert len(built) == 1 and statements == built
 
 

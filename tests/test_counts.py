@@ -4,6 +4,7 @@ import pandas as pd
 from repro.core.counts import fold, fold_counts, fold_cube
 from repro.core.sql_emit import Layer, build_sql, fold_layers
 from repro.profiling import fd
+from tests import reference_stats
 
 
 # fold_counts: a rewriting map merges counts, a nulling map removes values
@@ -50,7 +51,8 @@ def test_fold_null_stays_null():
 
 
 def test_fold_cube_of_no_rows():
-    cube = fd.Cube.of(pd.DataFrame({"a": pd.Series([], dtype=object)}))
+    cube = fd.Cube.of(reference_stats.string_table(
+        pd.DataFrame({"a": pd.Series([], dtype=object)})))
     assert len(fold_cube(cube, {"a": {"x": "y"}}).rows) == 0
 
 

@@ -332,6 +332,27 @@ def test_value_cube_edge_cases_match_groupby_reference(spark, rows):
     _assert_cube_matches_groupby(df, ["count"])
 
 
+def test_value_cube_keeps_sparks_rendering_of_other_types(spark):
+    """Non-string columns are cast to string inside Spark, so the cube
+    holds Spark's renderings, as the ``groupBy`` reference does: Arrow's
+    own cast would render the double ``1.0`` as ``'1'`` and ``1e20`` as
+    ``'1e+20'``."""
+    import datetime
+
+    df = spark.createDataFrame(
+        [(1, 1.0, True, datetime.date(2020, 1, 2)),
+         (-7, 1e20, False, None),
+         (None, -0.0, None, datetime.date(1999, 12, 31)),
+         (1, float("nan"), True, datetime.date(2020, 1, 2)),
+         (1, 1.0, True, datetime.date(2020, 1, 2))],
+        "i int, d double, b boolean, t date")
+    _assert_cube_matches_groupby(df, df.columns)
+    cube = fd.value_cube(df, df.columns)
+    assert [set(v.tolist()) for v in cube.values] == [
+        {"1", "-7"}, {"1.0", "1.0E20", "-0.0", "NaN"}, {"true", "false"},
+        {"2020-01-02", "1999-12-31"}]
+
+
 @pytest.fixture(scope="module")
 def bench_joints(spark):
     """Per benchmark: the candidate pairs of its input, their joints

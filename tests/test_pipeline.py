@@ -169,6 +169,7 @@ def test_numeric_step_skips_column_the_type_step_merged():
     Movies ``duration``) gets no range review. Planning needs only the
     table's value cube, no SparkSession."""
     from repro.profiling import fd
+    from tests.reference_stats import string_table
 
     class RangeLog(SimulatedLLM):
         def __init__(self):
@@ -188,11 +189,38 @@ def test_numeric_step_skips_column_the_type_step_merged():
         "runtime": [f"{m} min" for m in minutes * 10],
     }).astype(object)
     llm = RangeLog()
-    _, steps = CocoonPipeline(llm).plan(fd.Cube.of(pdf), "durations")
+    _, steps = CocoonPipeline(llm).plan(fd.Cube.of(string_table(pdf)),
+                                        "durations")
     typed = {s.column for s in steps
              if s.step == "column_type" and s.detected}
     assert typed == {"duration", "runtime"}
     assert llm.reviewed == ["runtime"]
+
+
+def test_fresh_models_do_the_same_review_work(monkeypatch):
+    """A model's dictionary repairs are remembered by the model, not by
+    the process: two fresh models planning Movies make the same number
+    of ``edit_distance`` calls, and the same plan."""
+    from repro.benchdata import load
+    from repro.llm import knowledge as kb
+    from repro.profiling import fd
+    from tests.reference_stats import string_table
+
+    cube = fd.Cube.of(string_table(load("movies").dirty.drop(
+        columns="row_id")))
+    calls = []
+
+    def counted(*args, _orig=kb.edit_distance, **kwargs):
+        calls[-1] += 1
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(kb, "edit_distance", counted)
+    plans = []
+    for _ in range(2):
+        calls.append(0)
+        plans.append(CocoonPipeline(SimulatedLLM()).plan(cube, "movies"))
+    assert calls[0] == calls[1] > 0
+    assert plans[0] == plans[1]
 
 
 def test_duplicates_removed_without_row_id(spark):
@@ -363,8 +391,9 @@ def test_planning_runs_one_spark_action_and_caches_only_the_input(
         spark, monkeypatch):
     """One value cube of the input serves stages A, B and C, and the
     only statement built and handed to Spark is the final one. Each
-    content column's rows are coded once: every other ``factorize``
-    call codes a column's distinct values."""
+    content column's rows are coded once, by one ``dictionary_encode``
+    of its Arrow column: every ``factorize`` call codes a column's
+    distinct values."""
     from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
 
     import repro.core.pipeline as pipeline
@@ -373,7 +402,9 @@ def test_planning_runs_one_spark_action_and_caches_only_the_input(
 
     bench = load("movies")
     df = bench.spark_dirty(spark)
-    actions, cached, statements, coded = [], [], [], []
+    actions, cached, statements, coded, encoded = [], [], [], [], []
+    monkeypatch.setattr(fd.pc, "dictionary_encode", lambda values, _orig=(
+        fd.pc.dictionary_encode): encoded.append(len(values)) or _orig(values))
     monkeypatch.setattr(fd, "factorize", lambda values, _orig=(
         fd.factorize): coded.append(len(values)) or _orig(values))
     monkeypatch.setattr(type(spark), "sql", lambda self, sql, _orig=type(
@@ -395,8 +426,9 @@ def test_planning_runs_one_spark_action_and_caches_only_the_input(
             return _orig(self, *args, **kwargs)
         monkeypatch.setattr(ClassicDataFrame, name, kept)
     report = CocoonPipeline(SimulatedLLM()).clean(df, "movies")
-    assert actions == ["toPandas"]
-    assert coded.count(len(bench.dirty)) == len(df.columns) - 1 == 17
+    assert actions == ["toArrow"]
+    assert encoded == [len(bench.dirty)] * (len(df.columns) - 1)
+    assert len(encoded) == 17 and len(bench.dirty) not in coded
     assert [type(s) for s in statements] == [tuple, str]
     assert statements[1] == report.sql
     assert cached and all(d is df for d in cached)

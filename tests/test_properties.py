@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) for the pure substrates, and for
 the driver-side statistics against Spark."""
 import string
+from itertools import combinations
 
 import duckdb
+import pandas as pd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -258,3 +260,39 @@ def test_cube_fold_matches_spark_over_the_sql(spark, table):
         spark.sql(sql), FOLD_COLS)
     assert profs == want_profs
     assert sorted(repeated) == sorted(want_repeated)
+
+
+@settings(max_examples=100)
+@given(folded_tables(), st.randoms(use_true_random=False))
+@example(([(None, "", None), (None, "\x00", None), ("a", "", "b")], []),
+         None)
+# a fold that makes rows equal: repeated rows of the folded cube
+@example(([("a", "p", None), ("b", "p", None), ("a", "q", "x"),
+           ("b", "q", "x"), (None, "p", None)],
+          [Layer("l0", {"c0": {"a": "b"}})]), None)
+def test_cube_statistics_do_not_depend_on_row_order(table, rnd):
+    """The value cube's rows are in byte order, not code order, so every
+    consumer must be order-free: permuting a cube's rows leaves its
+    profiles, its row profile, its joints and FD candidates (groups
+    included), and the row profile of its fold, unchanged."""
+    rows, layers = table
+    cube = fd.Cube.of(reference_stats.string_table(
+        pd.DataFrame(rows, columns=FOLD_COLS, dtype=object)))
+    order = list(range(len(cube.rows)))
+    if rnd is None:
+        order.reverse()
+    else:
+        rnd.shuffle(order)
+    moved = fd.Cube(cube.columns, cube.values, cube.codes[order],
+                    cube.rows[order])
+    pairs = list(combinations(FOLD_COLS, 2))
+
+    def statistics(c):
+        joints = fd.pair_joints(c, pairs)
+        cands = fd.fd_candidates(pairs, joints, max_violation_rate=1.0)
+        return (profile_cube(c), profile_cube_rows(c),
+                [j.tuples() for j in joints], cands,
+                [f.groups for f in cands],
+                profile_cube_rows(fold_layers(c, layers)))
+
+    assert statistics(moved) == statistics(cube)

@@ -18,6 +18,7 @@ from repro.core.misplacement import (
 )
 from repro.llm import SimulatedLLM
 from repro.profiling import fd
+from tests import reference_stats
 
 LLM = SimulatedLLM()
 
@@ -32,7 +33,8 @@ def _joints(rows, pairs):
     """Each pair's joint counts, marginalized from the rows' value
     cube."""
     keys = [(p.a, p.b) for p in pairs]
-    cube = fd.Cube.of(pd.DataFrame(rows).astype(object))
+    cube = fd.Cube.of(reference_stats.string_table(
+        pd.DataFrame(rows).astype(object)))
     return dict(zip(keys, fd.pair_joints(cube, keys)))
 
 
