@@ -198,7 +198,7 @@ def raha_baran_clean(bench: Benchmark, dirty: DataFrame) -> DataFrame:
     # --- vicinity models: mode repair of statistical FD groups --------
     n_distinct = {c: profiles[c].n_distinct for c in cols}
     cands = discover_fds(
-        cube, n_distinct=n_distinct, total=int(cube.rows.sum()),
+        cube, n_distinct=n_distinct, total=len(cube.codes),
         max_violation_rate=0.5,
         exclude_lhs_values=placeholder_values(profiles),
     )

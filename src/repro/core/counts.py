@@ -15,7 +15,7 @@ maps (:func:`fold_cube`), misplacement's :class:`Swap` and the FD step's
 which gives the cube of the cleaned table without evaluating its SQL
 (:func:`~repro.core.sql_emit.fold_layers` walks the layers). A fold
 selects rows on their codes and rewrites a column's distinct values,
-never the rows' strings.
+never the rows' strings; the folded cube keeps one row per input row.
 """
 from __future__ import annotations
 
@@ -58,8 +58,8 @@ def fold_cube(cube: Cube, maps: dict[str, ValueMap]) -> Cube:
 
     Each column's distinct values are folded, once each, and its codes
     follow them (:meth:`~repro.profiling.fd.Cube.recoded`). Cube rows
-    that become equal are not merged: their counts add up when the cube
-    is marginalized.
+    that become equal stay separate rows, as in the table the SQL
+    gives.
     """
     return cube.recoded({
         c: (codes, np.array([fold(v, [maps[c]]) for v in values.tolist()],

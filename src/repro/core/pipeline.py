@@ -22,16 +22,16 @@ oracle re-executes in tests).
 cached: a :func:`~repro.profiling.fd.value_cube` of the input over
 every content column, one :class:`~repro.profiling.fd.Cube` (a scan
 with no aggregate, projected by one ``selectExpr`` and collected with
-``toArrow()``, so planning builds no PySpark ``Column``): the distinct
-rows with their counts, each Arrow column dictionary-encoded once into
-integer codes over its distinct values. ``plan`` derives every
+``toArrow()``, so planning builds no PySpark ``Column``): the input's
+content columns, each Arrow column dictionary-encoded once into integer
+codes over its distinct values, row for row. ``plan`` derives every
 statistic the three stages read from those codes on the driver, no
 pass codes a column's rows again, and none depends on the order of the
 cube's rows:
 
 * stage A: each column's profile is the cube's marginal
-  (:func:`~repro.profiling.profile_cube`), and the row count is the sum
-  of the cube's counts;
+  (:func:`~repro.profiling.profile_cube`), and the row count is the
+  cube's number of rows;
 * stage B: the cube is folded through the stage A layers
   (:func:`~repro.core.sql_emit.fold_layers`), which gives the joint
   counts of the column-cleaned table without evaluating its SQL; they
@@ -152,7 +152,7 @@ class CocoonPipeline:
         # and FD group repairs would otherwise overwrite the swap
         # evidence in the repaired column.
         fd_pairs = fd.candidate_pairs(cols, n_distinct=n_distinct,
-                                      total=int(cube.rows.sum()))
+                                      total=len(cube.codes))
         swaps = domain_pairs(counts_by_col)
         pairs = list(dict.fromkeys(fd_pairs + [(p.a, p.b) for p in swaps]))
         cube = fold_layers(cube, layers)

@@ -1,21 +1,20 @@
 """Statistical profiling substrate (paper §2, "statistical detection").
 
-Everything here is one Spark job with a driver-side reduction:
-per-column value distributions, missing ratios and unique ratios from
-one grouped count of the cells, or from a value cube — one scan of the
-columns, deduplicated on the driver, whose distinct rows also give the
-duplicate-row statistics (:mod:`column_profile`) — and entropy-based
-single-attribute functional-dependency discovery from that value cube
-(:mod:`fd`, after Beskales et al. as cited by the paper §2.1.6). The
-profiles are what Cocoon puts into the LLM prompts so the model can
-reason about data too large to fit in context.
+Everything here is reduced on the driver from one value cube: one
+Spark scan of a table's columns, each column dictionary-encoded once
+(:mod:`fd`). Per-column value distributions, missing ratios and unique
+ratios are its per-column counts, and its repeated code rows are the
+duplicate rows (:mod:`column_profile`); entropy-based single-attribute
+functional-dependency discovery reads its code pairs (:mod:`fd`, after
+Beskales et al. as cited by the paper §2.1.6). The profiles are what
+Cocoon puts into the LLM prompts so the model can reason about data too
+large to fit in context.
 """
 from repro.profiling.column_profile import (
     ColumnProfile,
     duplicate_rows,
     profile_cube,
     profile_cube_rows,
-    profile_table,
 )
 from repro.profiling.fd import FDCandidate, discover_fds, violating_groups
 
@@ -26,6 +25,5 @@ __all__ = [
     "duplicate_rows",
     "profile_cube",
     "profile_cube_rows",
-    "profile_table",
     "violating_groups",
 ]

@@ -7,30 +7,17 @@ ordered by descending count with the value itself as a deterministic
 tie-break so profiles — and therefore every downstream LLM decision —
 are stable across runs.
 
-A profile comes from one of two sources:
-
-* :func:`profile_table` is **one** Spark job: the table is unpivoted to
-  ``(column, value)`` cells, NULL cells included, and a single
-  ``groupBy`` counts them. The counts are collected through Arrow and
-  reduced on the driver from ``(column, value, count)`` tuples: a
-  count-distinct per column would make Spark add an ``Expand`` and a
-  two-level aggregate, and a top-K window a second shuffle. No cleaner
-  calls it any more; the tests keep it as the reference
-  :func:`profile_cube` is checked against.
-* :func:`profile_cube` marginalizes a value cube
-  (:class:`repro.profiling.fd.Cube`: the distinct rows and their counts,
-  one scan coded once and deduplicated on the driver) with a
-  ``bincount`` of each column's codes, and reads each profile from
-  those count arrays: the top values are a sort on count, ties broken
-  by the values' code-point order. Cocoon collects the cube once and
-  folds it through its cleaning decisions on the driver; Raha+Baran
-  reads its FD statistics from the same cube, and RetClean only its
-  profiles. :func:`profile_cube_rows` also finds a cube's exactly
-  duplicated rows (§2.1.7) over its code matrix, which
-  :func:`duplicate_rows` summarizes.
-
-Python's code-point order of ``str`` equals Spark's binary UTF-8
-order, so both sources break ties as a Spark sort would.
+Every profile is read from a value cube
+(:class:`repro.profiling.fd.Cube`: one scan of the table's columns,
+each coded once on the driver). :func:`profile_cube` counts each
+column's codes with one ``bincount`` and reads its profile from that
+count array: the top values are a sort on count, ties broken by the
+values' code-point order, which equals Spark's binary UTF-8 order.
+Cocoon collects the cube once and folds it through its cleaning
+decisions on the driver; Raha+Baran reads its FD statistics from the
+same cube, and RetClean only its profiles. :func:`profile_cube_rows`
+also finds a cube's exactly duplicated rows (§2.1.7) over its code
+matrix, which :func:`duplicate_rows` summarizes.
 """
 from __future__ import annotations
 
@@ -41,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.profiling.fd import Cube, distinct_rows
+from repro.profiling.fd import Cube, distinct_rows, value_cube
 
 #: top values kept per column; a column with more distinct values skips
 #: the cleaning steps that need an exhaustive value list
@@ -72,67 +58,12 @@ class ColumnProfile:
         return self.n_distinct / self.non_null if self.non_null else 0.0
 
 
-def _cell_counts(df: DataFrame, columns: list[str]) -> DataFrame:
-    """One row per distinct ``(__col, __val)`` cell, NULL included."""
-    return (
-        df.unpivot(ids=[], values=columns,
-                   variableColumnName="__col", valueColumnName="__val")
-        .groupBy("__col", "__val").count()
-    )
-
-
-def _profiles(cells: Iterable[tuple[str, str | None, int]],
-              columns: list[str], top_k: int) -> dict[str, ColumnProfile]:
-    """Every column's profile from its ``(column, value, count)`` cells,
-    one per distinct value, NULL included.
-
-    A column's ``total`` is the sum of its counts, ``nulls`` its NULL
-    cell's count and ``n_distinct`` its number of non-NULL cells. Its
-    top values are the non-NULL cells ordered by ``(-count, value)``:
-    Python's code-point order of ``str`` equals Spark's binary UTF-8
-    order, so ties break as a Spark sort would.
-    """
-    nulls = dict.fromkeys(columns, 0)
-    groups: dict[str, list[tuple[str, int]]] = {c: [] for c in columns}
-    for c, v, n in cells:
-        if v is None:
-            nulls[c] = n
-        else:
-            groups[c].append((v, n))
-    return {
-        c: ColumnProfile(
-            name=c,
-            total=nulls[c] + sum(n for _, n in groups[c]),
-            nulls=nulls[c],
-            n_distinct=len(groups[c]),
-            top_values=tuple(heapq.nsmallest(
-                top_k, groups[c], key=lambda vn: (-vn[1], vn[0]))),
-        )
-        for c in columns
-    }
-
-
-def profile_table(df: DataFrame,
-                  columns: list[str]) -> dict[str, ColumnProfile]:
-    """Profile many string columns in one Spark job.
-
-    The driver receives one row per distinct (column, value), NULL
-    included, and derives each profile from them.
-    """
-    counts = _cell_counts(df, columns).toPandas()
-    return _profiles(zip(counts["__col"].tolist(), counts["__val"].tolist(),
-                         counts["count"].tolist()), columns, TOP_K)
-
-
 def _marginals(cube: Cube
                ) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
     """Each column of a value cube with its distinct values and its
     ``bincount``: NULL's rows first, then each value's."""
     for c, codes, values in zip(cube.columns, cube.codes.T, cube.values):
-        # float sums of integer counts are exact below 2**53 rows
-        yield c, values, np.bincount(
-            codes + 1, weights=cube.rows,
-            minlength=len(values) + 1).astype(np.int64)
+        yield c, values, np.bincount(codes + 1, minlength=len(values) + 1)
 
 
 def _profile(name: str, values: np.ndarray, counts: np.ndarray,
@@ -156,10 +87,16 @@ def _profile(name: str, values: np.ndarray, counts: np.ndarray,
 
 
 def profile_cube(cube: Cube) -> dict[str, ColumnProfile]:
-    """Every column's profile from a value cube; equal to
-    :func:`profile_table` of the table the cube counts."""
+    """Every column's profile from a value cube."""
     return {c: _profile(c, values, counts, TOP_K)
             for c, values, counts in _marginals(cube)}
+
+
+def profile_table(df: DataFrame,
+                  columns: list[str]) -> dict[str, ColumnProfile]:
+    """Every column's profile: :func:`profile_cube` of their value cube.
+    No cleaner calls it; ``perfbench/layers.py`` traces the name."""
+    return profile_cube(value_cube(df, columns))
 
 
 #: how Spark's ``to_json`` escapes a string's characters: the short
@@ -181,12 +118,11 @@ def profile_cube_rows(
 ) -> tuple[dict[str, ColumnProfile], list[tuple[str, int]]]:
     """Profiles without top values, and every repeated row, of a cube.
 
-    The cube's rows need not be distinct (a folded cube's are not):
-    rows with equal codes, NULLs included, add up their counts. Returns
-    the profiles (``top_k=0``) and the rows counted more than once as
-    ``(key, count)``, the key being the row's :func:`_row_key`.
+    Rows with equal codes, NULLs included, are one row repeated.
+    Returns the profiles (``top_k=0``) and the rows held more than once
+    as ``(key, count)``, the key being the row's :func:`_row_key`.
     """
-    codes, n = distinct_rows(cube.codes, cube.rows)
+    codes, n = distinct_rows(cube.codes)
     repeated = [
         (_row_key(None if k < 0 else values[k]
                   for values, k in zip(cube.values, codes[i].tolist())),

@@ -6,20 +6,19 @@ entropy ``H(B|A) = H(A,B) - H(A)`` (the entropy measurement of Beskales
 et al. the paper cites): ``0`` means the FD holds exactly; small values
 mean a few violating groups.
 
-Every statistic is reduced from a value cube, the table's distinct rows
-and their counts, dictionary-encoded as one :class:`Cube`:
+Every statistic is reduced from a value cube, the table's content
+columns dictionary-encoded row for row as one :class:`Cube`:
 
 1. :func:`value_cube`: **one** Spark scan and no aggregate, and no
    PySpark ``Column``: one ``selectExpr`` casts the columns to string
    inside Spark and ``toArrow()`` collects them. :meth:`Cube.of` codes
-   each Arrow column once (``dictionary_encode``) and deduplicates the
-   rows on their integer codes (:func:`distinct_rows`). Every later
-   pass reads these codes: a fold that rewrites values factorizes only
-   the column's distinct values (:meth:`Cube.recoded`,
-   :func:`factorize`), never its rows again. No pass depends on the
-   order of the cube's rows.
-2. :func:`pair_joints`: each pair's joint counts, marginalized from the
-   cube's codes (rows with a NULL on either side dropped).
+   each Arrow column once (:func:`encode`, one ``dictionary_encode``).
+   Every later pass reads these codes: a fold that rewrites values
+   codes only the column's distinct values (:meth:`Cube.recoded`),
+   never its rows again. No pass depends on the order of the cube's
+   rows, and each sums over them.
+2. :func:`pair_joints`: each pair's joint counts, counted from the
+   cube's code pairs (rows with a NULL on either side dropped).
    ``H(A,B)`` is symmetric, so one pair's :class:`Joint` serves both
    directions.
 3. :func:`fd_candidates`: the reduction to candidates on integer codes:
@@ -34,9 +33,9 @@ and their counts, dictionary-encoded as one :class:`Cube`:
 lattice), :func:`pair_joints` and :func:`fd_candidates` over a cube;
 Raha+Baran calls it with the cube it also profiles from.
 ``CocoonPipeline`` calls the parts itself: it folds the stage A
-cleaning into its cube before marginalizing. Each candidate carries its
-violating groups, which :func:`violating_groups` formats for the repair
-prompt without another Spark job.
+cleaning into its cube before counting joints. Each candidate carries
+its violating groups, which :func:`violating_groups` formats for the
+repair prompt without another Spark job.
 """
 from __future__ import annotations
 
@@ -120,9 +119,8 @@ def _quote(column: str) -> str:
     return "`" + column.replace("`", "``") + "`"
 
 
-def _sums(codes: np.ndarray, rows: np.ndarray | None,
-          size: int) -> np.ndarray:
-    """Per code, the sum of its ``rows`` (with none, its count)."""
+def _sums(codes: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """Per code, the sum of its joint entries' ``rows``."""
     # float sums of integer counts are exact below 2**53 rows
     return np.bincount(codes, weights=rows, minlength=size).astype(np.int64)
 
@@ -181,21 +179,14 @@ def candidate_pairs(
     return [(a, b) for i, a in enumerate(cand) for b in cand[i + 1:]]
 
 
-def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer codes of an array's values, and its distinct non-NULL
-    values in first-seen order: ``None`` gets code ``-1``, as with
-    ``pd.factorize``. :meth:`Cube.recoded` codes a column's rewritten
-    values with it.
-
-    ``pd.factorize`` itself hashes an all-string column as C strings,
-    which end at the first NUL character, so ``''`` and ``'\\x00'`` would
-    share a code; a ``dict`` compares whole Python strings.
-    """
-    index: dict[str, int] = {}
-    codes = np.fromiter(
-        (-1 if v is None else index.setdefault(v, len(index))
-         for v in values), dtype=np.int64, count=len(values))
-    return codes, np.array(list(index), dtype=object)
+def encode(values: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes of an Arrow string array, and its distinct non-NULL
+    values in first-seen order: NULL gets code ``-1``. One
+    ``dictionary_encode``; Arrow compares whole strings, so ``''`` and
+    ``'\\x00'`` get two codes."""
+    coded = pc.dictionary_encode(values)
+    return (coded.indices.fill_null(-1).to_numpy(),
+            coded.dictionary.to_numpy(zero_copy_only=False))
 
 
 def isin(values: np.ndarray, keep: Iterable[str]) -> np.ndarray:
@@ -206,10 +197,8 @@ def isin(values: np.ndarray, keep: Iterable[str]) -> np.ndarray:
     return np.array([v in keep for v in values.tolist()] + [False])
 
 
-def distinct_rows(codes: np.ndarray, weights: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """A code matrix's distinct rows and each one's number of rows (or
-    the sum of their ``weights``).
+def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A code matrix's distinct rows and each one's number of rows.
 
     Each row is compared as one opaque byte string (a void view), which
     sorts faster than ``np.unique(axis=0)``'s column-by-column order;
@@ -218,46 +207,38 @@ def distinct_rows(codes: np.ndarray, weights: np.ndarray | None = None
     """
     codes = np.ascontiguousarray(codes)
     keys = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))
-    _, first, inverse = np.unique(keys.reshape(-1), return_index=True,
-                                  return_inverse=True)
-    return codes[first], _sums(inverse, weights, len(first))
+    _, first, counts = np.unique(keys.reshape(-1), return_index=True,
+                                 return_counts=True)
+    return codes[first], counts
 
 
 @dataclass(frozen=True, eq=False)
 class Cube:
-    """A value cube: a table's distinct rows and their row counts,
-    dictionary-encoded.
+    """A value cube: a table's columns, dictionary-encoded row for row.
 
     ``values[j]`` holds column ``j``'s distinct values, and
     ``codes[i, j]`` is row ``i``'s code in that column: an index into
     ``values[j]``, or ``-1`` for NULL. A column's values are distinct
     and never NULL, so equal rows have equal codes. A fold may leave a
     value that no row holds; marginals skip it. The rows are in no
-    particular order: every statistic read from a cube is a sum over
-    its rows.
+    particular order, and equal rows are not merged: every statistic
+    read from a cube is a sum over its rows.
     """
 
     columns: list[str]
     values: list[np.ndarray]
     codes: np.ndarray
-    rows: np.ndarray
 
     @classmethod
     def of(cls, table: pa.Table) -> Cube:
         """The cube of an Arrow table of string columns: each column is
-        dictionary-encoded once (its values in first-seen order, NULL
-        as ``-1``) and the rows are deduplicated on their codes.
-
-        Arrow compares whole strings, so ``''`` and ``'\\x00'`` get
-        two codes.
-        """
+        coded once (:func:`encode`)."""
         codes = np.empty((table.num_rows, table.num_columns), dtype=np.int64)
         values = []
         for j, col in enumerate(table.columns):
-            coded = pc.dictionary_encode(col.combine_chunks())
-            codes[:, j] = coded.indices.fill_null(-1).to_numpy()
-            values.append(coded.dictionary.to_numpy(zero_copy_only=False))
-        return cls(table.column_names, values, *distinct_rows(codes))
+            codes[:, j], col_values = encode(col.combine_chunks())
+            values.append(col_values)
+        return cls(table.column_names, values, codes)
 
     def column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """A column's codes and its distinct values."""
@@ -268,31 +249,32 @@ class Cube:
                 ) -> Cube:
         """This cube with the named columns' codes and values replaced.
 
-        The new values may repeat and may hold ``None``: they are
-        factorized (a pass over the values, not the rows) and the codes
-        remapped, so each distinct value keeps one code and ``None``
-        becomes NULL. Rows that become equal are not merged.
+        The new values may repeat and may hold ``None``: they are coded
+        (:func:`encode`, a pass over the values, not the rows) and the
+        codes remapped, so each distinct value keeps one code and
+        ``None`` becomes NULL.
         """
         codes, values = self.codes.copy(), list(self.values)
         for name, (col_codes, col_values) in changes.items():
             j = self.columns.index(name)
-            remap, values[j] = factorize(col_values)
+            remap, values[j] = encode(pa.array(col_values, pa.string()))
             codes[:, j] = np.append(remap, -1)[col_codes]
-        return Cube(self.columns, values, codes, self.rows)
+        return Cube(self.columns, values, codes)
 
 
 def value_cube(df: DataFrame, columns: list[str]) -> Cube:
-    """Every distinct combination of ``columns``' values and its rows.
+    """The value cube of ``df``'s ``columns``: each row's values, coded.
 
     One Spark scan and no aggregate: one ``selectExpr`` casts the
     columns to string inside Spark, so every type keeps Spark's
     rendering (the double ``1.0`` is ``'1.0'``, not ``'1'``), and
-    ``toArrow()`` collects them; the driver codes and deduplicates them
+    ``toArrow()`` collects them; the driver codes them
     (:meth:`Cube.of`). No PySpark ``Column`` is built, and the collect
     is Arrow whatever ``spark.sql.execution.arrow.pyspark.enabled``
-    says. A Spark ``groupBy`` would deduplicate little (a table's rows
-    are mostly distinct) at the cost of compiling a wide aggregate. The
-    Spark columns are named by position, so any column name is safe.
+    says. Rows are not deduplicated, in Spark or on the driver: a
+    table's rows are distinct or nearly so, and every statistic sums
+    over rows anyway. The Spark columns are named by position, so any
+    column name is safe.
     With no column, Spark's Arrow result has no row, and neither has
     the cube.
 
@@ -306,7 +288,7 @@ def value_cube(df: DataFrame, columns: list[str]) -> Cube:
 
 
 def pair_joints(cube: Cube, pairs: list[tuple[str, str]]) -> list[Joint]:
-    """Each pair's joint counts, marginalized from a value cube's codes.
+    """Each pair's joint counts, counted from a value cube's codes.
 
     A cube row with a NULL in either column of a pair is dropped from
     that pair. Each pair's entries are its distinct code pairs, in code
@@ -317,10 +299,9 @@ def pair_joints(cube: Cube, pairs: list[tuple[str, str]]) -> list[Joint]:
         (ca, ua), (cb, ub) = cube.column(a), cube.column(b)
         keep = (ca >= 0) & (cb >= 0)
         width = max(len(ub), 1)
-        key, inverse = np.unique(ca[keep] * width + cb[keep],
-                                 return_inverse=True)
-        out.append(Joint(key // width, key % width,
-                         _sums(inverse, cube.rows[keep], len(key)), ua, ub))
+        key, rows = np.unique(ca[keep] * width + cb[keep],
+                              return_counts=True)
+        out.append(Joint(key // width, key % width, rows, ua, ub))
     return out
 
 

@@ -1,13 +1,15 @@
 """Reference implementations of the pipeline's table statistics.
 
 These are the earlier, direct formulations: the value cube as a Spark
-``groupBy`` over the columns with a row count; FD joint counts from a
-``stack`` unpivot of every column pair and one ``groupBy``, reduced to
-candidates by a loop over ``(a, b, rows)`` string tuples; the
-duplicate-row count from a ``groupBy`` over the row's columns; and the
-one-pass row profile whose row key is Spark's ``to_json``. The tests
-check the value cube, its folds, the FD candidates and the profiles
-derived from it against them.
+``groupBy`` over the columns with a row count; the column profiles from
+one unpivot of the cells and one ``groupBy``; a column's codes from a
+Python ``dict``; FD joint counts from a ``stack`` unpivot of every
+column pair and one ``groupBy``, reduced to candidates by a loop over
+``(a, b, rows)`` string tuples; the duplicate-row count from a
+``groupBy`` over the row's columns; and the one-pass row profile whose
+row key is Spark's ``to_json``. The tests check the value cube, its
+coder, its folds, the FD candidates and the profiles derived from it
+against them.
 
 It also keeps the simulated LLM's character-class kernels as
 character loops over ``str.isdigit``, ``str.isalpha`` and
@@ -15,7 +17,10 @@ character loops over ``str.isdigit``, ``str.isalpha`` and
 """
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
+from collections.abc import Iterable
 
 import numpy as np
 import pandas as pd
@@ -24,7 +29,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.profiling import fd
-from repro.profiling.column_profile import ColumnProfile, _profiles
+from repro.profiling.column_profile import TOP_K, ColumnProfile
 
 
 def _quote(column: str) -> str:
@@ -36,10 +41,11 @@ TupleJoint = list[tuple[str, str, int]]
 
 
 def groupby_value_cube(df: DataFrame, columns: list[str]
-                       ) -> tuple[pd.DataFrame, np.ndarray]:
-    """``fd.value_cube`` as one Spark ``groupBy`` over ``columns`` with a
-    row count, collected through Arrow; the columns are named by
-    position, so a data column called ``count`` cannot collide."""
+                       ) -> Counter[tuple[str | None, ...]]:
+    """``fd.value_cube``'s rows as a multiset (NULL as ``None``), from
+    one Spark ``groupBy`` over ``columns`` with a row count, collected
+    through Arrow; the columns are named by position, so a data column
+    called ``count`` cannot collide."""
     keys = [f"_{i}" for i in range(len(columns))]
     cube = (
         df.select(*[F.col(_quote(c)).cast("string").alias(k)
@@ -47,8 +53,8 @@ def groupby_value_cube(df: DataFrame, columns: list[str]
         .groupBy(*keys).count()
         .toPandas()
     )
-    return (cube[keys].set_axis(columns, axis=1),
-            cube["count"].to_numpy(dtype=np.int64))
+    return Counter(dict(zip(cube[keys].itertuples(index=False, name=None),
+                            cube["count"].tolist())))
 
 
 def string_table(frame: pd.DataFrame) -> pa.Table:
@@ -58,12 +64,74 @@ def string_table(frame: pd.DataFrame) -> pa.Table:
                      for c in frame.columns})
 
 
-def cube_rows(cube: fd.Cube) -> list[tuple[tuple[str | None, ...], int]]:
-    """A coded cube's rows, decoded to their values (NULL as ``None``),
-    with their counts."""
-    return [(tuple(None if k < 0 else values[k]
-                   for values, k in zip(cube.values, row)), n)
-            for row, n in zip(cube.codes.tolist(), cube.rows.tolist())]
+def cube_rows(cube: fd.Cube) -> list[tuple[str | None, ...]]:
+    """A coded cube's rows, decoded to their values (NULL as ``None``)."""
+    return [tuple(None if k < 0 else values[k]
+                  for values, k in zip(cube.values, row))
+            for row in cube.codes.tolist()]
+
+
+def factorize(values: Iterable[str | None]) -> tuple[np.ndarray, np.ndarray]:
+    """``fd.encode`` as a Python ``dict``: integer codes of the values,
+    and the distinct non-NULL values in first-seen order; ``None`` gets
+    code ``-1``, as with ``pd.factorize``.
+
+    ``pd.factorize`` itself hashes an all-string column as C strings,
+    which end at the first NUL character, so ``''`` and ``'\\x00'`` would
+    share a code; a ``dict`` compares whole Python strings.
+    """
+    index: dict[str, int] = {}
+    codes = [-1 if v is None else index.setdefault(v, len(index))
+             for v in values]
+    return np.array(codes, dtype=np.int64), np.array(list(index),
+                                                     dtype=object)
+
+
+def _profiles(cells: Iterable[tuple[str, str | None, int]],
+              columns: list[str], top_k: int) -> dict[str, ColumnProfile]:
+    """Every column's profile from its ``(column, value, count)`` cells,
+    one per distinct value, NULL included.
+
+    A column's ``total`` is the sum of its counts, ``nulls`` its NULL
+    cell's count and ``n_distinct`` its number of non-NULL cells. Its
+    top values are the non-NULL cells ordered by ``(-count, value)``:
+    Python's code-point order of ``str`` equals Spark's binary UTF-8
+    order, so ties break as a Spark sort would.
+    """
+    nulls = dict.fromkeys(columns, 0)
+    groups: dict[str, list[tuple[str, int]]] = {c: [] for c in columns}
+    for c, v, n in cells:
+        if v is None:
+            nulls[c] = n
+        else:
+            groups[c].append((v, n))
+    return {
+        c: ColumnProfile(
+            name=c,
+            total=nulls[c] + sum(n for _, n in groups[c]),
+            nulls=nulls[c],
+            n_distinct=len(groups[c]),
+            top_values=tuple(heapq.nsmallest(
+                top_k, groups[c], key=lambda vn: (-vn[1], vn[0]))),
+        )
+        for c in columns
+    }
+
+
+def profile_table(df: DataFrame, columns: list[str], *,
+                  top_k: int = TOP_K) -> dict[str, ColumnProfile]:
+    """``profile_cube`` of ``df``'s value cube, in one Spark job: the
+    table is unpivoted to ``(column, value)`` cells, NULL cells
+    included, and one ``groupBy`` counts them; each profile is derived
+    on the driver from the ``(column, value, count)`` rows."""
+    counts = (
+        df.unpivot(ids=[], values=columns,
+                   variableColumnName="__col", valueColumnName="__val")
+        .groupBy("__col", "__val").count()
+        .toPandas()
+    )
+    return _profiles(zip(counts["__col"].tolist(), counts["__val"].tolist(),
+                         counts["count"].tolist()), columns, top_k)
 
 
 def stack_joints(df: DataFrame,

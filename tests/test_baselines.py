@@ -146,23 +146,21 @@ def test_raha_baran_is_deterministic(spark):
                                   c.reset_index(drop=True))
 
 
-def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch):
+def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch, coded):
     """One value cube of the input serves the profiles and the FD
     statistics: one ``toArrow``, nothing cached, each content column's
-    rows coded once (one ``dictionary_encode``, and no ``factorize``),
-    and the only statement handed to Spark is the final one."""
+    rows coded once (by ``Cube.of``, one ``dictionary_encode`` each, and
+    nothing re-coded), and the only statement handed to Spark is the
+    final one."""
     from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
 
     from repro.profiling import fd
 
     b = load("hospital")
     df = b.spark_dirty(spark)
-    actions, cached, statements, built, coded = [], [], [], [], []
-    encoded = []
+    actions, cached, statements, built, encoded = [], [], [], [], []
     monkeypatch.setattr(fd.pc, "dictionary_encode", lambda values, _orig=(
         fd.pc.dictionary_encode): encoded.append(len(values)) or _orig(values))
-    monkeypatch.setattr(fd, "factorize", lambda values, _orig=(
-        fd.factorize): coded.append(len(values)) or _orig(values))
     monkeypatch.setattr(type(spark), "sql", lambda self, sql, _orig=type(
         spark).sql: statements.append(sql) or _orig(self, sql))
     monkeypatch.setattr(raha_baran, "build_sql", lambda *args, _orig=(
@@ -184,8 +182,8 @@ def test_raha_baran_plans_with_one_spark_action(spark, monkeypatch):
     raha_baran_clean(b, df)
     assert actions == ["toArrow"]
     assert cached == []
+    assert coded == [("of", len(b.dirty))] * (len(df.columns) - 1)
     assert encoded == [len(b.dirty)] * (len(df.columns) - 1)
-    assert len(b.dirty) not in coded
     assert len(built) == 1 and statements == built
 
 

@@ -1,7 +1,9 @@
 """Planning builds no PySpark ``Column``.
 
-``repro.profiling.fd`` (the value cube every planner reads) and every
-``repro.core`` module are parsed. Each imports nothing from pyspark but
+``repro.profiling`` (the value cube every planner reads, and the
+profiles read from it), every ``repro.core`` module and the baselines
+that plan from the cube (Raha+Baran and RetClean) are parsed. Each
+imports nothing from pyspark but
 the ``DataFrame`` type, so nothing from ``pyspark.sql.functions``, and
 calls nothing that builds a ``Column`` (``col``, ``lit``, ``cast``,
 ``alias``, ...): the cube's projection is one ``selectExpr`` string
@@ -15,7 +17,12 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).parent
-MODULES = [SRC / "profiling" / "fd.py", *sorted((SRC / "core").glob("*.py"))]
+MODULES = [
+    *(SRC / "profiling" / m for m in ("__init__.py", "column_profile.py",
+                                      "fd.py")),
+    *sorted((SRC / "core").glob("*.py")),
+    *(SRC / "baselines" / m for m in ("raha_baran.py", "retclean.py")),
+]
 #: the pyspark names a planning module may import: types, no builders
 ALLOWED = {("pyspark.sql", "DataFrame")}
 #: the functions, and the ``Column`` methods, that build a ``Column``
@@ -25,8 +32,9 @@ METHODS = {"cast", "alias", "otherwise", "isNull", "isNotNull"}
 
 def test_the_planning_modules_are_found():
     names = {p.relative_to(SRC).as_posix() for p in MODULES}
-    assert {"profiling/fd.py", "core/pipeline.py", "core/sql_emit.py",
-            "core/counts.py"} <= names
+    assert {"profiling/fd.py", "profiling/column_profile.py",
+            "core/pipeline.py", "core/sql_emit.py", "core/counts.py",
+            "baselines/raha_baran.py"} <= names
     assert len(names) > 10
 
 

@@ -53,7 +53,7 @@ def test_fold_null_stays_null():
 def test_fold_cube_of_no_rows():
     cube = fd.Cube.of(reference_stats.string_table(
         pd.DataFrame({"a": pd.Series([], dtype=object)})))
-    assert len(fold_cube(cube, {"a": {"x": "y"}}).rows) == 0
+    assert fold_cube(cube, {"a": {"x": "y"}}).codes.shape == (0, 1)
 
 
 def test_folded_joint_equals_sql_groupby(spark):

@@ -1,4 +1,6 @@
 """Entropy-based FD discovery (§2.1.6 substrate)."""
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -210,9 +212,9 @@ def test_discover_fds_leaves_catalog_unchanged(spark, fd_frame):
     "name", ["hospital", "flights", "beers", "rayyan", "movies"])
 def test_discover_fds_matches_stack_reference(spark, name):
     from repro.benchdata import load
-    from repro.profiling import profile_table
     from tests.reference_stats import (
         normalized_groups,
+        profile_table,
         stack_discover_fds,
         stack_joints,
     )
@@ -225,7 +227,7 @@ def test_discover_fds_matches_stack_reference(spark, name):
     pairs = fd.candidate_pairs(cols, **kw)
     cube = fd.value_cube(df, list(dict.fromkeys(
         c for p in pairs for c in p)))
-    assert pairs and len(cube.rows) <= df.count()
+    assert pairs and len(cube.codes) == df.count()
     assert (_joint_dicts(fd.pair_joints(cube, pairs))
             == _joint_dicts(stack_joints(df, pairs)))
     got = _discover(df, cols, **kw)
@@ -243,17 +245,20 @@ def _joint_dicts(joints):
 
 
 def test_value_cube_column_named_count(spark):
-    from tests.reference_stats import stack_joints
+    from tests.reference_stats import (
+        cube_rows,
+        groupby_value_cube,
+        stack_joints,
+    )
 
     df = spark.createDataFrame(
         [("x", "1"), ("x", "1"), ("y", "2"), ("y", None)],
         "count string, n string")
-    from tests.reference_stats import cube_rows
-
     cube = fd.value_cube(df, ["count", "n"])
     assert list(cube.columns) == ["count", "n"]
-    assert sorted((a, b or "-", n) for (a, b), n in cube_rows(cube)) == [
-        ("x", "1", 2), ("y", "-", 1), ("y", "2", 1)]
+    assert (Counter(cube_rows(cube))
+            == groupby_value_cube(df, ["count", "n"])
+            == Counter({("x", "1"): 2, ("y", None): 1, ("y", "2"): 1}))
     pairs = [("count", "n"), ("n", "count")]
     assert (_joint_dicts(fd.pair_joints(cube, pairs))
             == _joint_dicts(stack_joints(df, pairs)))
@@ -278,7 +283,7 @@ def test_pair_joints_drop_nulls_all_null_column_and_empty_pair(spark):
 def test_value_cube_of_no_rows(spark):
     df = spark.createDataFrame([], "x string, y string")
     cube = fd.value_cube(df, ["x", "y"])
-    assert len(cube.codes) == len(cube.rows) == 0
+    assert cube.codes.shape == (0, 2)
     assert [j.tuples() for j in fd.pair_joints(cube, [("x", "y")])] == [[]]
     assert _discover(df, ["x", "y"], n_distinct={"x": 2, "y": 2},
                      total=10) == []
@@ -289,25 +294,16 @@ def test_value_cube_of_no_rows(spark):
 # replaced Spark groupBy and string-tuple loop
 # ---------------------------------------------------------------------------
 
-def _cube_multiset(rows):
-    """``(row, count)`` pairs as a multiset of rows, NULL as ``None``."""
-    out = {}
-    for row, n in rows:
-        out[row] = out.get(row, 0) + n
-    return out
-
-
 def _assert_cube_matches_groupby(df, columns):
+    """The cube holds one coded row per row of ``df``: decoded, they are
+    the ``groupBy`` cube's rows, each repeated by its count."""
     from tests.reference_stats import cube_rows, groupby_value_cube
 
     cube = fd.value_cube(df, columns)
     assert list(cube.columns) == columns
-    assert cube.rows.dtype == np.int64 and len(cube.rows) == len(cube.codes)
-    got = _cube_multiset(cube_rows(cube))
-    assert len(got) == len(cube.rows)  # the rows are distinct
-    ref, ref_rows = groupby_value_cube(df, columns)
-    assert got == _cube_multiset(zip(ref.itertuples(index=False, name=None),
-                                     ref_rows.tolist()))
+    assert cube.codes.dtype == np.int64
+    assert cube.codes.shape == (df.count(), len(columns))
+    assert Counter(cube_rows(cube)) == groupby_value_cube(df, columns)
 
 
 @pytest.mark.parametrize(

@@ -314,7 +314,7 @@ STAGE_A = {f"clean_{n}" for n in ("string_outliers", "pattern_outliers",
 def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     """The statistics folded from the input's value cube equal the
     reference statistics of the SQL they stand for: stage A's profiles
-    equal the input's ``profile_table``, its folded frequency vectors
+    equal the input's unpivot profile, its folded frequency vectors
     the profile of the stage A SQL (for every column profiled
     exhaustively), stage B's joint counts (misplacement's pairs
     included) a ``groupBy`` over it and its FD candidates the reference
@@ -323,7 +323,7 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     import repro.core.pipeline as pipeline
     from repro.benchdata import load
     from repro.core.sql_emit import build_sql
-    from repro.profiling import duplicate_rows, fd, profile_table
+    from repro.profiling import duplicate_rows, fd
     from tests import reference_stats
 
     seen = {}
@@ -362,13 +362,14 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
     df_c = spark.sql(build_sql(view, stage_ab, all_cols))
     _, profiles = seen["profile"]
     (freqs,), _ = seen["freqs"]
-    assert profiles == profile_table(df, cols)
+    assert profiles == reference_stats.profile_table(df, cols)
     exhaustive = [c for c in cols
                   if profiles[c].n_distinct <= len(profiles[c].top_values)]
     assert exhaustive
     assert ({c: freqs[c] for c in exhaustive}
             == {c: p.top_values
-                for c, p in profile_table(df_a, exhaustive).items()})
+                for c, p in reference_stats.profile_table(
+                    df_a, exhaustive).items()})
     want_joints = reference_stats.stack_joints(df_a, pairs)
     assert ([{(a, b): n for a, b, n in j.tuples()} for j in joints]
             == [{(a, b): n for a, b, n in j} for j in want_joints])
@@ -388,12 +389,13 @@ def test_planning_statistics_match_the_sql(spark, monkeypatch, name):
 
 
 def test_planning_runs_one_spark_action_and_caches_only_the_input(
-        spark, monkeypatch):
+        spark, monkeypatch, coded):
     """One value cube of the input serves stages A, B and C, and the
     only statement built and handed to Spark is the final one. Each
-    content column's rows are coded once, by one ``dictionary_encode``
-    of its Arrow column: every ``factorize`` call codes a column's
-    distinct values."""
+    content column's rows are coded once, by ``Cube.of``: every other
+    coding is a fold's, of a column's distinct values (the ``coded``
+    fixture checks each), and every ``dictionary_encode`` is one of
+    these codings."""
     from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
 
     import repro.core.pipeline as pipeline
@@ -402,11 +404,9 @@ def test_planning_runs_one_spark_action_and_caches_only_the_input(
 
     bench = load("movies")
     df = bench.spark_dirty(spark)
-    actions, cached, statements, coded, encoded = [], [], [], [], []
+    actions, cached, statements, encoded = [], [], [], []
     monkeypatch.setattr(fd.pc, "dictionary_encode", lambda values, _orig=(
         fd.pc.dictionary_encode): encoded.append(len(values)) or _orig(values))
-    monkeypatch.setattr(fd, "factorize", lambda values, _orig=(
-        fd.factorize): coded.append(len(values)) or _orig(values))
     monkeypatch.setattr(type(spark), "sql", lambda self, sql, _orig=type(
         spark).sql: statements.append(sql) or _orig(self, sql))
     monkeypatch.setattr(pipeline, "build_sql", lambda *args, _orig=(
@@ -427,8 +427,10 @@ def test_planning_runs_one_spark_action_and_caches_only_the_input(
         monkeypatch.setattr(ClassicDataFrame, name, kept)
     report = CocoonPipeline(SimulatedLLM()).clean(df, "movies")
     assert actions == ["toArrow"]
-    assert encoded == [len(bench.dirty)] * (len(df.columns) - 1)
-    assert len(encoded) == 17 and len(bench.dirty) not in coded
+    assert ([n for caller, n in coded if caller == "of"]
+            == [len(bench.dirty)] * 17)
+    assert {caller for caller, _ in coded} == {"of", "recoded"}
+    assert encoded == [n for _, n in coded]
     assert [type(s) for s in statements] == [tuple, str]
     assert statements[1] == report.sql
     assert cached and all(d is df for d in cached)

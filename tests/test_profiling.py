@@ -13,16 +13,16 @@ from repro.profiling import (
     duplicate_rows,
     profile_cube,
     profile_cube_rows,
-    profile_table,
 )
 from repro.profiling import column_profile, fd
+from repro.profiling.column_profile import profile_table
 from tests import reference_stats
 
 
 def _profile_column(df: DataFrame, column: str, *,
                     top_k: int) -> ColumnProfile:
     """Reference profile of one column: a plain count aggregation and a
-    grouped top-K, independent of ``profile_table``'s unpivot/groupBy."""
+    grouped top-K, independent of ``profile_table``'s value cube."""
     c = F.col(column)
     counts = df.agg(
         F.count(F.lit(1)).alias("total"),
@@ -163,7 +163,7 @@ def test_profile_table_runs_one_spark_action(toy, monkeypatch):
     from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
 
     actions = []
-    for name in ("collect", "toPandas", "count"):
+    for name in ("collect", "toPandas", "toArrow", "count"):
         def counted(self, *args, _name=name,
                     _orig=getattr(ClassicDataFrame, name), **kwargs):
             actions.append(_name)
@@ -197,15 +197,17 @@ def test_duplicate_rows(spark):
 
 def _assert_rows_match_reference(df, cols):
     """The value cube's row statistics against Spark's: the profiles
-    equal ``profile_table``'s, the repeated rows equal the ``to_json``
-    row profile's byte for byte, and the samples are the most repeated
-    rows of the ``groupBy`` duplicate count, ties ordered by key."""
+    equal the unpivot reference's, the repeated rows equal the
+    ``to_json`` row profile's byte for byte, and the samples are the
+    most repeated rows of the ``groupBy`` duplicate count, ties ordered
+    by key."""
     cube = fd.value_cube(df, cols)
     profs, repeated = profile_cube_rows(cube)
     want_profs, want_repeated = reference_stats.profile_rows(df, cols)
-    assert profile_cube(cube) == profile_table(df, cols)
+    want = reference_stats.profile_table(df, cols)
+    assert profile_cube(cube) == want
     assert profs == want_profs == {c: replace(p, top_values=())
-                                   for c, p in profile_table(df, cols).items()}
+                                   for c, p in want.items()}
     assert sorted(repeated) == sorted(want_repeated)
     surplus, samples = duplicate_rows(repeated, cols)
     want, _ = reference_stats.duplicate_rows(df, subset=cols)

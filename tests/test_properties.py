@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) for the pure substrates, and for
 the driver-side statistics against Spark."""
 import string
+from collections import Counter
 from itertools import combinations
 
 import duckdb
 import pandas as pd
+import pyarrow as pa
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from repro.core.counts import FDRepair, Swap, fold, fold_counts
 from repro.core.sql_emit import Layer, fold_layers
 from repro.llm import knowledge as kb
 from repro.llm.client import _digit_heavy
-from repro.profiling import fd, profile_cube, profile_cube_rows, profile_table
+from repro.profiling import fd, profile_cube, profile_cube_rows
 from tests import reference_stats
 
 settings.register_profile("repro", max_examples=50, deadline=None)
@@ -218,6 +220,26 @@ def folded_tables(draw):
     return rows, layers
 
 
+@st.composite
+def coded_cells(draw):
+    """A column's cells: short texts from a small pool, so values
+    repeat, and NULLs."""
+    pool = draw(st.lists(cell_text, min_size=1, max_size=4, unique=True))
+    return draw(st.lists(st.none() | st.sampled_from(pool), max_size=12))
+
+
+@given(coded_cells())
+# pd.factorize would give '' and '\x00' one code
+@example(["", "\x00", None, "\x00", ""])
+def test_arrow_coder_matches_dict_reference(cells):
+    """``fd.encode`` gives a Python ``dict``'s codes and values: values
+    in first-seen order, NULL as ``-1``, whole strings compared."""
+    codes, values = fd.encode(pa.array(cells, pa.string()))
+    want_codes, want_values = reference_stats.factorize(cells)
+    assert codes.tolist() == want_codes.tolist()
+    assert values.tolist() == want_values.tolist()
+
+
 @settings(max_examples=25)
 @given(folded_tables())
 # pd.factorize would give '' and '\x00' one code
@@ -239,21 +261,17 @@ def test_cube_fold_matches_spark_over_the_sql(spark, table):
     """The driver fold of layers of value maps, swaps and FD repairs over
     a coded value cube (the pipeline's layer walk) gives the profiles
     and repeated rows (keys byte for byte) that Spark's ``to_json`` row
-    profile gives over the same layers' SQL; the unfolded cube equals
-    the Spark ``groupBy`` cube (as a multiset of rows and counts) and
-    its profiles are ``profile_table``'s."""
+    profile gives over the same layers' SQL; the unfolded cube's rows
+    are the Spark ``groupBy`` cube's (as a multiset) and its profiles
+    are the unpivot reference's."""
     rows, layers = table
     df = spark.createDataFrame(rows, ", ".join(f"{c} string"
                                                for c in FOLD_COLS))
     df.createOrReplaceTempView("prop_fold")
     cube = fd.value_cube(df, FOLD_COLS)
-    ref_cube, ref_n = reference_stats.groupby_value_cube(df, FOLD_COLS)
-    assert (sorted((repr(row), n)
-                   for row, n in reference_stats.cube_rows(cube))
-            == sorted(zip(map(repr, ref_cube.itertuples(index=False,
-                                                        name=None)),
-                          ref_n.tolist())))
-    assert profile_cube(cube) == profile_table(df, FOLD_COLS)
+    assert (Counter(reference_stats.cube_rows(cube))
+            == reference_stats.groupby_value_cube(df, FOLD_COLS))
+    assert profile_cube(cube) == reference_stats.profile_table(df, FOLD_COLS)
     profs, repeated = profile_cube_rows(fold_layers(cube, layers))
     sql = sql_emit.build_sql("prop_fold", layers, FOLD_COLS)
     want_profs, want_repeated = reference_stats.profile_rows(
@@ -271,20 +289,20 @@ def test_cube_fold_matches_spark_over_the_sql(spark, table):
            ("b", "q", "x"), (None, "p", None)],
           [Layer("l0", {"c0": {"a": "b"}})]), None)
 def test_cube_statistics_do_not_depend_on_row_order(table, rnd):
-    """The value cube's rows are in byte order, not code order, so every
-    consumer must be order-free: permuting a cube's rows leaves its
-    profiles, its row profile, its joints and FD candidates (groups
-    included), and the row profile of its fold, unchanged."""
+    """The value cube's rows are in Spark's scan order, which depends on
+    the partitioning, so every consumer must be order-free: permuting a
+    cube's rows leaves its profiles, its row profile, its joints and FD
+    candidates (groups included), and the row profile of its fold,
+    unchanged."""
     rows, layers = table
     cube = fd.Cube.of(reference_stats.string_table(
         pd.DataFrame(rows, columns=FOLD_COLS, dtype=object)))
-    order = list(range(len(cube.rows)))
+    order = list(range(len(cube.codes)))
     if rnd is None:
         order.reverse()
     else:
         rnd.shuffle(order)
-    moved = fd.Cube(cube.columns, cube.values, cube.codes[order],
-                    cube.rows[order])
+    moved = fd.Cube(cube.columns, cube.values, cube.codes[order])
     pairs = list(combinations(FOLD_COLS, 2))
 
     def statistics(c):
