@@ -9,73 +9,70 @@ group's posterior mode, applied when the mode is sufficiently probable
 not expressible as constraint violations (unit inconsistency, format
 drift, open typos) are invisible to it.
 
-``max_rows`` reproduces the paper's footnote: HoloClean runs out of
-memory on Movies, so only the first 1000 rows are processed (the rest
-pass through untouched).
+Planning reads one value cube of the input
+(:func:`~repro.profiling.fd.value_cube`), as Cocoon, Raha+Baran and
+RetClean do: each constraint's repair is an
+:class:`~repro.core.counts.FDRepair` layer, planned from the cube's
+joint counts and folded into the cube before the next constraint is
+counted (:func:`holoclean_plan`). Spark runs the layers as one SQL
+statement. The paper's Movies footnote (HoloClean runs out of memory
+there) needs no row cap: no constraint covers Movies, so the plan is
+empty and its rows pass through.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
+
+from repro.core.counts import FDRepair
+from repro.core.sql_emit import Layer, build_sql
+from repro.profiling.fd import Cube, pair_joints, value_cube
 
 #: the smallest share of its group the mode needs to be applied
 TAU = 0.5
 
 
-def holoclean_clean(
-    dirty: DataFrame,
-    constraints: list[tuple[str, str]],
-    *,
-    max_rows: int | None = None,
-) -> DataFrame:
-    """Repair FD-constraint violations to the group mode.
+def holoclean_plan(cube: Cube,
+                   constraints: list[tuple[str, str]]) -> list[Layer]:
+    """One FD repair layer per constraint that has a group to repair.
 
-    Purely DataFrame-API: per constraint, one aggregation computes the
-    (lhs, mode, share) table, which is broadcast-joined back and applied
-    with a null-preserving conditional.
+    Each ``(lhs, rhs)`` constraint is counted on the cube as the earlier
+    constraints' repairs left it. A group (its rows with neither side
+    NULL) is repaired to its mode, the most frequent RHS with ties to
+    the smallest in code-point order, when the mode holds at least
+    ``TAU`` of the group and not all of it.
     """
-    df = dirty
-    scoped = df
-    rest = None
-    if max_rows is not None:
-        in_scope = F.col("row_id").cast("long") < max_rows
-        scoped = df.where(in_scope)
-        rest = df.where(~in_scope)
+    layers = []
+    for i, (lhs, rhs) in enumerate(constraints):
+        groups: dict[str, list[tuple[str, int]]] = {}
+        for key, value, n in pair_joints(cube, [(lhs, rhs)])[0].tuples():
+            groups.setdefault(key, []).append((value, n))
+        mapping = {}
+        for key, vcs in groups.items():
+            mode, count = min(vcs, key=lambda vc: (-vc[1], vc[0]))
+            total = sum(n for _, n in vcs)
+            if count / total >= TAU and count < total:
+                mapping[key] = mode
+        if mapping:
+            repair = FDRepair(lhs, rhs, mapping)
+            layers.append(Layer(
+                f"holoclean_{i}", repair,
+                comments=[f"constraint {lhs} -> {rhs}: {len(mapping)} "
+                          "groups repaired to their mode"]))
+            cube = repair.fold(cube)
+    return layers
 
-    for lhs, rhs in constraints:
-        pair = (
-            scoped.where(F.col(lhs).isNotNull() & F.col(rhs).isNotNull())
-            .groupBy(lhs, rhs)
-            .agg(F.count(F.lit(1)).alias("_cnt"))
-        )
-        w = Window.partitionBy(lhs)
-        modes = (
-            pair.withColumn("_total", F.sum("_cnt").over(w))
-            .withColumn(
-                "_rank",
-                F.row_number().over(w.orderBy(F.desc("_cnt"), F.asc(rhs))),
-            )
-            .where(F.col("_rank") == 1)
-            .where(F.col("_cnt") / F.col("_total") >= TAU)
-            .where(F.col("_cnt") < F.col("_total"))  # has violations
-            .select(
-                F.col(lhs).alias("_lhs_v"),
-                F.col(rhs).alias("_mode_v"),
-            )
-        )
-        scoped = (
-            scoped.join(modes, scoped[lhs] == modes["_lhs_v"], "left")
-            .withColumn(
-                rhs,
-                F.when(
-                    F.col("_mode_v").isNotNull() & F.col(rhs).isNotNull(),
-                    F.col("_mode_v"),
-                ).otherwise(F.col(rhs)),
-            )
-            .drop("_lhs_v", "_mode_v")
-        )
 
-    return scoped.unionByName(rest) if rest is not None else scoped
+def holoclean_clean(dirty: DataFrame,
+                    constraints: list[tuple[str, str]]) -> DataFrame:
+    """Repair FD-constraint violations to the group mode: the layers
+    :func:`holoclean_plan` plans from one value cube of ``dirty``'s
+    content columns, run by Spark as one SQL statement."""
+    cols = [c for c in dirty.columns if c != "row_id"]
+    layers = holoclean_plan(value_cube(dirty, cols), constraints)
+    view = "holoclean_input"
+    dirty.createOrReplaceTempView(view)
+    return dirty.sparkSession.sql(
+        build_sql(view, layers, list(dirty.columns)))
 
 
 #: Ground-truth denial constraints per benchmark (the paper: "Holoclean

@@ -1,11 +1,11 @@
 """Driver-side bookkeeping of value frequencies between steps.
 
-The pipeline profiles each column once with Spark, then threads the
-(value, count) vector through the per-column steps, folding each step's
-value map into it (:func:`fold_counts`) — §2.1's ordering constraint
-("only after typos are fixed can we detect the patterns") is
-implemented by these updates, not by re-scanning the table after every
-step.
+The pipeline profiles each column once from the input's value cube,
+then threads the (value, count) vector through the per-column steps,
+folding each step's value map into it (:func:`fold_counts`) — §2.1's
+ordering constraint ("only after typos are fixed can we detect the
+patterns") is implemented by these updates, not by re-scanning the
+table after every step.
 
 Table-level statistics are folded the same way, from the decisions the
 SQL layers carry (:class:`~repro.core.sql_emit.Layer`): a layer's value

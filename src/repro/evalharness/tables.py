@@ -78,9 +78,11 @@ PAPER_TABLE3: dict[tuple[str, str], tuple[float, float, float]] = {
     ("movies", "cocoon"): (0.96, 0.91, 0.93),
 }
 
-#: HoloClean OOMs on Movies and CleanAgent caps inputs at 2 MB (paper
-#: Table 1 footnote): both see only the first 1000 rows.
-SAMPLED_SYSTEMS = {"holoclean", "cleanagent"}
+#: CleanAgent caps inputs at 2 MB (paper Table 1 footnote): it sees only
+#: the first 1000 Movies rows. HoloClean, which runs out of memory on
+#: Movies in the paper, needs no cap here: no constraint covers Movies,
+#: so it repairs nothing there either way.
+SAMPLED_SYSTEMS = {"cleanagent"}
 SAMPLE_ROWS = 1000
 
 
@@ -91,8 +93,7 @@ def run_system(system: str, bench: Benchmark, dirty: DataFrame) -> DataFrame:
     if system == "cocoon":
         return CocoonPipeline(SimulatedLLM()).clean(dirty, bench.name).cleaned
     if system == "holoclean":
-        return holoclean_clean(
-            dirty, CONSTRAINTS.get(bench.name, []), max_rows=max_rows)
+        return holoclean_clean(dirty, CONSTRAINTS.get(bench.name, []))
     if system == "raha_baran":
         return raha_baran_clean(bench, dirty)
     if system == "cleanagent":

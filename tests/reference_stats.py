@@ -6,10 +6,11 @@ one unpivot of the cells and one ``groupBy``; a column's codes from a
 Python ``dict``; FD joint counts from a ``stack`` unpivot of every
 column pair and one ``groupBy``, reduced to candidates by a loop over
 ``(a, b, rows)`` string tuples; the duplicate-row count from a
-``groupBy`` over the row's columns; and the one-pass row profile whose
-row key is Spark's ``to_json``. The tests check the value cube, its
-coder, its folds, the FD candidates and the profiles derived from it
-against them.
+``groupBy`` over the row's columns; the one-pass row profile whose
+row key is Spark's ``to_json``; and HoloClean's mode repair as a
+``groupBy``, a ``row_number`` window and a join per constraint. The
+tests check the value cube, its coder, its folds, the FD candidates,
+the profiles derived from it and HoloClean's SQL against them.
 
 It also keeps the simulated LLM's character-class kernels as
 character loops over ``str.isdigit``, ``str.isalpha`` and
@@ -25,9 +26,10 @@ from collections.abc import Iterable
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from repro.baselines.holoclean import TAU
 from repro.profiling import fd
 from repro.profiling.column_profile import TOP_K, ColumnProfile
 
@@ -293,6 +295,48 @@ def profile_rows(
     return (_profiles(zip(cols["__col"].tolist(), cols["__val"].tolist(),
                           cols["count"].tolist()), columns, top_k=0),
             list(zip(rows["__val"].tolist(), rows["count"].tolist())))
+
+
+def holoclean_reference(dirty: DataFrame,
+                        constraints: list[tuple[str, str]]) -> DataFrame:
+    """``holoclean_clean`` with the DataFrame API: per constraint, one
+    aggregation and a window compute the (lhs, mode) table of the
+    groups to repair, which is joined back and applied with a
+    null-preserving conditional."""
+    df = dirty
+    for lhs, rhs in constraints:
+        pair = (
+            df.where(F.col(lhs).isNotNull() & F.col(rhs).isNotNull())
+            .groupBy(lhs, rhs)
+            .agg(F.count(F.lit(1)).alias("_cnt"))
+        )
+        w = Window.partitionBy(lhs)
+        modes = (
+            pair.withColumn("_total", F.sum("_cnt").over(w))
+            .withColumn(
+                "_rank",
+                F.row_number().over(w.orderBy(F.desc("_cnt"), F.asc(rhs))),
+            )
+            .where(F.col("_rank") == 1)
+            .where(F.col("_cnt") / F.col("_total") >= TAU)
+            .where(F.col("_cnt") < F.col("_total"))  # has violations
+            .select(
+                F.col(lhs).alias("_lhs_v"),
+                F.col(rhs).alias("_mode_v"),
+            )
+        )
+        df = (
+            df.join(modes, df[lhs] == modes["_lhs_v"], "left")
+            .withColumn(
+                rhs,
+                F.when(
+                    F.col("_mode_v").isNotNull() & F.col(rhs).isNotNull(),
+                    F.col("_mode_v"),
+                ).otherwise(F.col(rhs)),
+            )
+            .drop("_lhs_v", "_mode_v")
+        )
+    return df
 
 
 # ---------------------------------------------------------------------------

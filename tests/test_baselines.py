@@ -64,14 +64,6 @@ def test_holoclean_preserves_nulls(spark):
     assert vals[:3] == ["A", "A", "A"] and pd.isna(vals[3])
 
 
-def test_holoclean_max_rows_scopes_repairs(spark, fd_pdf):
-    df = to_spark_strings(spark, fd_pdf)
-    out = holoclean_clean(df, [("zip", "city")], max_rows=1).toPandas()
-    out = out.sort_values("row_id", key=lambda s: s.astype(int))
-    assert list(out["city"][:2]) == ["Tucson", "Tucson"]  # row 1 out of scope
-    assert len(out) == len(fd_pdf)
-
-
 def test_holoclean_constraints_registry_covers_all_datasets():
     assert set(CONSTRAINTS) == {"hospital", "flights", "beers", "rayyan",
                                 "movies"}

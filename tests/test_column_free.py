@@ -2,12 +2,12 @@
 
 ``repro.profiling`` (the value cube every planner reads, and the
 profiles read from it), every ``repro.core`` module and the baselines
-that plan from the cube (Raha+Baran and RetClean) are parsed. Each
-imports nothing from pyspark but
-the ``DataFrame`` type, so nothing from ``pyspark.sql.functions``, and
-calls nothing that builds a ``Column`` (``col``, ``lit``, ``cast``,
-``alias``, ...): the cube's projection is one ``selectExpr`` string
-list, and the cleaning is one SQL statement.
+that plan from the cube (Raha+Baran, RetClean and HoloClean) are
+parsed. Each imports nothing from pyspark but the ``DataFrame`` type,
+so nothing from ``pyspark.sql.functions``, and calls nothing that
+builds a ``Column`` (``col``, ``lit``, ``cast``, ``alias``, ...): the
+cube's projection is one ``selectExpr`` string list, and the cleaning
+is one SQL statement.
 """
 import ast
 from pathlib import Path
@@ -21,7 +21,8 @@ MODULES = [
     *(SRC / "profiling" / m for m in ("__init__.py", "column_profile.py",
                                       "fd.py")),
     *sorted((SRC / "core").glob("*.py")),
-    *(SRC / "baselines" / m for m in ("raha_baran.py", "retclean.py")),
+    *(SRC / "baselines" / m for m in ("holoclean.py", "raha_baran.py",
+                                      "retclean.py")),
 ]
 #: the pyspark names a planning module may import: types, no builders
 ALLOWED = {("pyspark.sql", "DataFrame")}
@@ -34,7 +35,8 @@ def test_the_planning_modules_are_found():
     names = {p.relative_to(SRC).as_posix() for p in MODULES}
     assert {"profiling/fd.py", "profiling/column_profile.py",
             "core/pipeline.py", "core/sql_emit.py", "core/counts.py",
-            "baselines/raha_baran.py"} <= names
+            "baselines/raha_baran.py", "baselines/retclean.py",
+            "baselines/holoclean.py"} <= names
     assert len(names) > 10
 
 

@@ -1,5 +1,6 @@
-"""End-to-end oracle checks: the full Cocoon SQL artifact for real
-benchmarks must produce identical tables on Spark and DuckDB.
+"""End-to-end oracle checks: the full Cocoon and HoloClean SQL
+artifacts for real benchmarks must produce identical tables on Spark
+and DuckDB.
 
 This is the strongest correctness property in the repo: a wrong Catalyst
 plan, a dialect leak in the emitted SQL, or a nondeterministic layer
@@ -11,8 +12,10 @@ import pytest
 
 from repro.benchdata import load
 from repro.core import CocoonPipeline
+from repro.core.sql_emit import build_sql
 from repro.llm import SimulatedLLM
 from repro.oracle import assert_equivalent
+from repro.profiling.fd import value_cube
 
 
 #: sha256(SQL)[:16], LLM calls and sha256(repr(report.steps))[:16] at
@@ -45,9 +48,23 @@ RETCLEAN_PINNED = {
     "rayyan": "194aa658cb92ff8f",
 }
 
+#: the same digest of HoloClean's cleaned rows, recorded the same way
+#: while it still repaired with a Spark ``groupBy``, window and join
+HOLOCLEAN_PINNED = {
+    "hospital": "7a25c6905183f344",
+    "flights": "a723ca775053ef25",
+    "beers": "27dc69aa0c268130",
+    "rayyan": "c749b97bbcf24a06",
+}
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _rows_digest(df) -> str:
+    """The pinned digest of a frame's rows: each row's repr, sorted."""
+    return _digest("\n".join(sorted(repr(tuple(r)) for r in df.collect())))
 
 
 @pytest.mark.parametrize(
@@ -68,8 +85,7 @@ def test_raha_baran_rows_are_pinned(spark, name):
     from repro.baselines import raha_baran_clean
 
     bench = load(name)
-    rows = raha_baran_clean(bench, bench.spark_dirty(spark)).collect()
-    assert (_digest("\n".join(sorted(repr(tuple(r)) for r in rows)))
+    assert (_rows_digest(raha_baran_clean(bench, bench.spark_dirty(spark)))
             == RAHA_BARAN_PINNED[name])
 
 
@@ -77,9 +93,36 @@ def test_raha_baran_rows_are_pinned(spark, name):
 def test_retclean_rows_are_pinned(spark, name):
     from repro.baselines import retclean_clean
 
-    rows = retclean_clean(load(name).spark_dirty(spark)).collect()
-    assert (_digest("\n".join(sorted(repr(tuple(r)) for r in rows)))
+    assert (_rows_digest(retclean_clean(load(name).spark_dirty(spark)))
             == RETCLEAN_PINNED[name])
+
+
+@pytest.mark.parametrize(
+    "name", ["hospital", "rayyan", "beers", "flights", "movies"])
+def test_holoclean_sql_is_engine_portable(spark, name):
+    """HoloClean's plan, rendered as SQL, gives the same rows on DuckDB
+    as ``holoclean_clean`` gives on Spark. No constraint covers Movies:
+    it plans no layer and its rows come back unchanged."""
+    from repro.baselines.holoclean import (
+        CONSTRAINTS,
+        holoclean_clean,
+        holoclean_plan,
+    )
+
+    bench = load(name)
+    dirty = bench.spark_dirty(spark)
+    layers = holoclean_plan(
+        value_cube(dirty, [c for c in dirty.columns if c != "row_id"]),
+        CONSTRAINTS[name])
+    cleaned = holoclean_clean(dirty, CONSTRAINTS[name])
+    assert_equivalent(cleaned,
+                      build_sql("holoclean_input", layers, dirty.columns),
+                      holoclean_input=bench.dirty)
+    if name in HOLOCLEAN_PINNED:
+        assert _rows_digest(cleaned) == HOLOCLEAN_PINNED[name]
+    else:
+        assert layers == []
+        assert _rows_digest(cleaned) == _rows_digest(dirty)
 
 
 def test_cocoon_cleaned_approaches_truth_on_hospital(spark):

@@ -10,6 +10,7 @@ import pyarrow as pa
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.holoclean import holoclean_clean
 from repro.core import sql_emit
 from repro.core.counts import FDRepair, Swap, fold, fold_counts
 from repro.core.sql_emit import Layer, fold_layers
@@ -314,3 +315,35 @@ def test_cube_statistics_do_not_depend_on_row_order(table, rnd):
                 profile_cube_rows(fold_layers(c, layers)))
 
     assert statistics(moved) == statistics(cube)
+
+
+#: FD constraints over the drawn tables' columns, repeats allowed
+constraint_lists = st.lists(
+    st.permutations(FOLD_COLS).map(lambda p: (p[0], p[1])), max_size=3)
+
+
+@settings(max_examples=25)
+@given(folded_tables().map(lambda table: table[0]), constraint_lists)
+# a 1:1 tie: 'z' wins, as it sorts before 'é' by code point (Spark's
+# binary UTF-8 order), whatever a locale's collation says
+@example([("k", "é", None), ("k", "z", None)], [("c0", "c1")])
+# the mode's share is exactly TAU (2 of 4): the group is repaired
+@example([("k", "a", None), ("k", "a", None), ("k", "b", None),
+          ("k", "c", None)], [("c0", "c1")])
+# a NULL LHS matches no group, a NULL RHS stays NULL and counts for none
+@example([(None, "b", None), ("k", None, None), ("k", "a", None),
+          ("k", "a", None), ("k", "b", None)], [("c0", "c1")])
+# the second constraint counts the first's repaired RHS: 'b' becomes
+# 'a', whose group then holds 'x', 'x' and 'y'
+@example([("k", "a", "x"), ("k", "a", "x"), ("k", "b", "y")],
+         [("c0", "c1"), ("c1", "c2")])
+def test_holoclean_sql_matches_the_dataframe_reference(spark, rows,
+                                                       constraints):
+    """HoloClean's plan, run by Spark as SQL, gives the rows of the
+    DataFrame implementation it replaced (a ``groupBy``, a window and a
+    join per constraint)."""
+    df = spark.createDataFrame(rows, ", ".join(f"{c} string"
+                                               for c in FOLD_COLS))
+    got = holoclean_clean(df, constraints).collect()
+    want = reference_stats.holoclean_reference(df, constraints).collect()
+    assert Counter(map(tuple, got)) == Counter(map(tuple, want))
