@@ -16,8 +16,8 @@ RetClean do: each constraint's repair is an
 joint counts and folded into the cube before the next constraint is
 counted (:func:`holoclean_plan`). Spark runs the layers as one SQL
 statement. The paper's Movies footnote (HoloClean runs out of memory
-there) needs no row cap: no constraint covers Movies, so the plan is
-empty and its rows pass through.
+there) needs no row cap: no constraint covers Movies, so no cube is
+collected, the plan is empty and its rows pass through.
 """
 from __future__ import annotations
 
@@ -66,9 +66,12 @@ def holoclean_clean(dirty: DataFrame,
                     constraints: list[tuple[str, str]]) -> DataFrame:
     """Repair FD-constraint violations to the group mode: the layers
     :func:`holoclean_plan` plans from one value cube of ``dirty``'s
-    content columns, run by Spark as one SQL statement."""
-    cols = [c for c in dirty.columns if c != "row_id"]
-    layers = holoclean_plan(value_cube(dirty, cols), constraints)
+    content columns, run by Spark as one SQL statement. With no
+    constraint there is nothing to count, and no cube is collected."""
+    layers = []
+    if constraints:
+        cols = [c for c in dirty.columns if c != "row_id"]
+        layers = holoclean_plan(value_cube(dirty, cols), constraints)
     view = "holoclean_input"
     dirty.createOrReplaceTempView(view)
     return dirty.sparkSession.sql(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import string
 from typing import Protocol
 
+import numpy as np
+
 from repro.llm import knowledge as kb
 from repro.llm import prompts
 from repro.llm.types import (
@@ -76,23 +78,67 @@ def _concept_key(value: str) -> tuple[str, object] | None:
     return None
 
 
+#: count-matrix cells the typo search compares at once (4 MiB of int32)
+_PAIR_CELLS = 1 << 20
+
+
+def _code_points(text: str) -> np.ndarray:
+    """``text``'s code points, one per character (a lone surrogate too)."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                         dtype="<u4")
+
+
+class _Strings:
+    """Values with their frequencies and what the typo search reads of
+    them: the lower-cased forms and their lengths, the ids of the
+    digit-stripped forms in ``stripped`` (new forms get new ids), and
+    each lower-cased form's character counts over ``alphabet``, with its
+    count of characters outside it."""
+
+    def __init__(self, values: list[str], freqs: list[int], lows: list[str],
+                 alphabet: np.ndarray, stripped: dict[str, int]) -> None:
+        self.values = values
+        self.freqs = np.array(freqs, dtype=np.int64)
+        self.lows = lows
+        self.lens = np.array([len(t) for t in lows], dtype=np.int64)
+        self.stripped = np.array(
+            [stripped.setdefault(kb.strip_digits(v), len(stripped))
+             for v in values], dtype=np.int64)
+        cps = _code_points("".join(lows))
+        col = np.searchsorted(alphabet, cps)
+        known = col < len(alphabet)
+        known[known] = alphabet[col[known]] == cps[known]
+        row = np.repeat(np.arange(len(lows)), self.lens)
+        counts = np.bincount(row[known] * len(alphabet) + col[known],
+                             minlength=len(lows) * len(alphabet))
+        self.counts = counts.reshape(len(lows), len(alphabet)).astype(np.int32)
+        self.outside = np.bincount(row[~known], minlength=len(lows))
+
+
 class _StringIndex:
     """One string-review prompt's value list, indexed once for every value.
 
     Holds each value's concept key, each concept group's size and most
-    common form, the typo candidates bucketed by the length of their
-    lower-cased form (most frequent first, with lower-cased and
-    digit-stripped forms), and the fixes computed so far, keyed by
+    common form, and the fixes computed so far, keyed by
     ``(value, frequency)`` — so the cleaning prompt over the same list
     reuses the review's decisions.
+
+    The typo candidates, every non-NULL value, are ``entries``
+    (:class:`_Strings` over the list's own code points), sorted by
+    ``(length, -frequency)`` of their lower-cased forms. ``keys`` holds
+    one integer per entry over both sort fields, so two
+    ``searchsorted`` calls find the entries of one length above a
+    frequency floor. ``typos`` memoizes
+    :meth:`SimulatedLLM._typo_targets` by ``(value, frequency)``.
     """
 
     def __init__(self, values: tuple[tuple[str, int], ...]) -> None:
         self.values = values
         self.fixes: dict[tuple[str, int], str | None] = {}
+        self.typos: dict[tuple[str, int], str | None] | None = None
         self.concept_keys: dict[str, tuple[str, object] | None] = {}
         groups: dict[tuple[str, object], list[tuple[str, int]]] = {}
-        self.by_len: dict[int, list[tuple[int, str, str, str]]] = {}
+        cands = []
         for v, c in values:
             if v is None:
                 continue
@@ -100,15 +146,24 @@ class _StringIndex:
             if ck is not None:
                 groups.setdefault(ck, []).append((v, c))
             low = v.lower()
-            self.by_len.setdefault(len(low), []).append(
-                (c, v, low, kb.strip_digits(v)))
+            cands.append((len(low), c, v, low))
         #: concept key -> (group size, representative form)
         self.concepts = {
             ck: (len(g), max(g, key=lambda vc: (vc[1], vc[0]))[0])
             for ck, g in groups.items()
         }
-        for bucket in self.by_len.values():
-            bucket.sort(key=lambda e: -e[0])
+        cands.sort(key=lambda e: (e[0], -e[1]))
+        lows = [low for _, _, _, low in cands]
+        self.alphabet = np.unique(_code_points("".join(lows)))
+        #: digit-stripped form -> id
+        self.stripped: dict[str, int] = {}
+        self.entries = _Strings([v for _, _, v, _ in cands],
+                                [c for _, c, _, _ in cands], lows,
+                                self.alphabet, self.stripped)
+        freqs = self.entries.freqs
+        self.top = int(freqs.max(initial=0))
+        self.span = self.top - int(freqs.min(initial=0)) + 1
+        self.keys = self.entries.lens * self.span + (self.top - freqs)
 
     def concept_key(self, value: str) -> tuple[str, object] | None:
         """``value``'s :func:`_concept_key`, computed once per value."""
@@ -179,22 +234,84 @@ class SimulatedLLM:
 
     def _typo_target(self, value: str, index: _StringIndex,
                      freq: int) -> str | None:
-        budget = kb.typo_budget(value)
-        low = value.lower()
-        stripped = kb.strip_digits(value)
-        floor = freq * self.MIN_FREQ_RATIO
-        scored: list[tuple[int, int, str]] = []
+        """``value``'s typo target in ``index``. The first search on an
+        index answers all of its entries as one batch; a value outside
+        the list is a batch of its own."""
+        if index.typos is None:
+            own = index.entries
+            index.typos = dict(zip(zip(own.values, own.freqs.tolist()),
+                                   self._typo_targets(index, own)))
+        if (value, freq) not in index.typos:
+            index.typos[value, freq] = self._typo_targets(index, _Strings(
+                [value], [freq], [value.lower()], index.alphabet,
+                index.stripped))[0]
+        return index.typos[value, freq]
+
+    def _typo_targets(self, index: _StringIndex,
+                      queries: _Strings) -> list[str | None]:
+        """For each query, the value of ``index`` that it is most likely
+        a typo of, or ``None``.
+
+        A candidate is at least ``MIN_FREQ_RATIO`` times as frequent,
+        does not differ only in digits, and its lower-cased form is
+        within the query's typo budget of the query's. The candidates
+        are found as one join: per length offset within the budget, two
+        ``searchsorted`` calls give each query its range of entries of
+        that length above its frequency floor. A pair is then rejected
+        when its character counts alone put it over the budget: one
+        edit moves the surplus and the deficit of one histogram against
+        the other by at most one each, so max(surplus, deficit) =
+        (L1 + |length difference|) / 2 bounds the edit distance from
+        below (the q = 1 count filter of Gravano et al., VLDB 2001).
+        :func:`knowledge.edit_distance` runs only on the pairs left.
+        """
+        own = index.entries
+        if not own.values:
+            return [None] * len(queries.values)
+        budgets = np.array([kb.typo_budget(v) for v in queries.values],
+                           dtype=np.int64)
+        floors = np.ceil(queries.freqs * self.MIN_FREQ_RATIO)
+        # each query's last key offset within a length: its floor
+        stop = np.clip(index.top - floors, -1, index.span - 1).astype(np.int64)
+        qs, cs = [], []
         # a candidate whose length differs by more than the budget is
         # more than the budget away
-        for n in range(len(low) - budget, len(low) + budget + 1):
-            for cfreq, cand, cand_low, cand_stripped in index.by_len.get(n, ()):
-                if cfreq < floor:
-                    break  # buckets are most frequent first
-                if cand == value or cand_stripped == stripped:
-                    continue  # differing numbers are distinct values, not typos
-                d = kb.edit_distance(low, cand_low, cap=budget + 1)
-                if d <= budget:
-                    scored.append((d, -cfreq, cand))
+        top_budget = int(budgets.max())
+        for delta in range(-top_budget, top_budget + 1):
+            base = (queries.lens + delta) * index.span
+            lo = np.searchsorted(index.keys, base)
+            hi = np.searchsorted(index.keys, base + stop, side="right")
+            size = np.where(budgets >= abs(delta), hi - lo, 0)
+            q = np.repeat(np.arange(len(size)), size)
+            qs.append(q)
+            cs.append(np.arange(len(q)) + np.repeat(lo - np.cumsum(size)
+                                                    + size, size))
+        q, c = np.concatenate(qs), np.concatenate(cs)
+        # differing numbers are distinct values, not typos (this also
+        # drops the query itself)
+        keep = own.stripped[c] != queries.stripped[q]
+        q, c = q[keep], c[keep]
+        bound = np.abs(queries.lens[q] - own.lens[c]) + queries.outside[q]
+        step = max(1, _PAIR_CELLS // max(1, len(index.alphabet)))
+        for s in range(0, len(q), step):
+            part = slice(s, s + step)
+            bound[part] += np.abs(queries.counts[q[part]]
+                                  - own.counts[c[part]]).sum(axis=1)
+        keep = bound <= 2 * budgets[q]
+        scored: list[list[tuple[int, int, str]]] = [[] for _ in budgets]
+        budget_of = budgets.tolist()
+        for qi, ci in zip(q[keep].tolist(), c[keep].tolist()):
+            budget = budget_of[qi]
+            d = kb.edit_distance(queries.lows[qi], own.lows[ci],
+                                 cap=budget + 1)
+            if d <= budget:
+                scored[qi].append((d, -int(own.freqs[ci]), own.values[ci]))
+        return [self._closest(v, s) for v, s in zip(queries.values, scored)]
+
+    @staticmethod
+    def _closest(value: str, scored: list[tuple[int, int, str]]) -> str | None:
+        """The nearest, then most frequent, of ``scored``'s
+        ``(distance, -frequency, candidate)``; ``None`` on a tie."""
         if not scored:
             return None
         scored.sort()

@@ -14,7 +14,10 @@ the profiles derived from it and HoloClean's SQL against them.
 
 It also keeps the simulated LLM's character-class kernels as
 character loops over ``str.isdigit``, ``str.isalpha`` and
-``str.isalnum``, which the tests check the ASCII fast paths against.
+``str.isalnum``, which the tests check the ASCII fast paths against,
+and its typo search as a loop per value over length buckets with
+``edit_distance`` on every candidate above the frequency floor, which
+the tests check the batched search against.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.baselines.holoclean import TAU
+from repro.llm import knowledge as kb
+from repro.llm.client import SimulatedLLM
 from repro.profiling import fd
 from repro.profiling.column_profile import TOP_K, ColumnProfile
 
@@ -374,3 +379,55 @@ def digit_heavy(v: str) -> bool:
     if not alnum:
         return False
     return sum(c.isdigit() for c in alnum) / len(alnum) > 0.5
+
+
+# ---------------------------------------------------------------------------
+# the simulated LLM's typo search, one value at a time
+# ---------------------------------------------------------------------------
+
+def typo_buckets(values: Iterable[tuple[str | None, int]]
+                 ) -> dict[int, list[tuple[int, str, str, str]]]:
+    """A prompt's typo candidates by the length of their lower-cased
+    form, most frequent first: ``(frequency, value, lower-cased,
+    digit-stripped)``."""
+    by_len: dict[int, list[tuple[int, str, str, str]]] = {}
+    for v, c in values:
+        if v is None:
+            continue
+        low = v.lower()
+        by_len.setdefault(len(low), []).append(
+            (c, v, low, kb.strip_digits(v)))
+    for bucket in by_len.values():
+        bucket.sort(key=lambda e: -e[0])
+    return by_len
+
+
+def typo_target(value: str, freq: int,
+                by_len: dict[int, list[tuple[int, str, str, str]]]
+                ) -> str | None:
+    """``SimulatedLLM._typo_targets`` for one value: every candidate in
+    the length window above the frequency floor, nearest first, then
+    most frequent; ``None`` on a tie."""
+    budget = kb.typo_budget(value)
+    low = value.lower()
+    stripped = kb.strip_digits(value)
+    floor = freq * SimulatedLLM.MIN_FREQ_RATIO
+    scored: list[tuple[int, int, str]] = []
+    for n in range(len(low) - budget, len(low) + budget + 1):
+        for cfreq, cand, cand_low, cand_stripped in by_len.get(n, ()):
+            if cfreq < floor:
+                break  # buckets are most frequent first
+            if cand == value or cand_stripped == stripped:
+                continue  # differing numbers are distinct values
+            d = kb.edit_distance(low, cand_low, cap=budget + 1)
+            if d <= budget:
+                scored.append((d, -cfreq, cand))
+    if not scored:
+        return None
+    scored.sort()
+    at_min = [s for s in scored if s[0] == scored[0][0]]
+    if digit_heavy(value) and len(at_min) > 1:
+        return None
+    if len(at_min) > 1 and at_min[0][1] == at_min[1][1]:
+        return None
+    return at_min[0][2]

@@ -64,6 +64,21 @@ def test_holoclean_preserves_nulls(spark):
     assert vals[:3] == ["A", "A", "A"] and pd.isna(vals[3])
 
 
+def test_holoclean_without_constraints_collects_nothing(spark, monkeypatch):
+    """No constraint covers Movies: ``holoclean_clean`` plans no layer
+    without collecting a value cube, and its rows pass through."""
+    from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
+
+    df = load("movies").spark_dirty(spark)
+    arrow = []
+    monkeypatch.setattr(ClassicDataFrame, "toArrow", lambda self, _orig=(
+        ClassicDataFrame.toArrow): arrow.append(self) or _orig(self))
+    out = holoclean_clean(df, CONSTRAINTS["movies"])
+    assert arrow == []
+    monkeypatch.undo()
+    assert out.count() == df.count()
+
+
 def test_holoclean_constraints_registry_covers_all_datasets():
     assert set(CONSTRAINTS) == {"hospital", "flights", "beers", "rayyan",
                                 "movies"}

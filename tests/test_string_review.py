@@ -1,12 +1,17 @@
 """The indexed string review (§2.1.1) decides exactly like a brute-force
-scan of the prompt's value list. (``edit_distance`` itself is checked
+scan of the prompt's value list, and its batched typo search answers
+exactly what a loop per value over length buckets answers
+(``tests/reference_stats.py``), on drawn lists and on every prompt that
+the five benchmarks' plans send. (``edit_distance`` itself is checked
 against a full-matrix Levenshtein in ``test_properties.py``.)"""
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llm import SimulatedLLM
+from repro.llm import SimulatedLLM, client
 from repro.llm import knowledge as kb
-from repro.llm.client import _concept_key, _digit_heavy
+from repro.llm.client import _concept_key, _digit_heavy, _Strings
+from tests.reference_stats import typo_buckets, typo_target
 
 MIN_FREQ_RATIO = SimulatedLLM.MIN_FREQ_RATIO
 
@@ -62,10 +67,14 @@ def _oracle_typo_target(value, cands, freq):
 
 VOCAB = ("Birmingham", "Boston", "Chicago", "randomized trial",
          "Shadow River", "111 patients", "10:30 p.m.", "AMI-1", "Pale Ale",
-         "İstanbul")
+         "İstanbul", "Ale", "ox", "NYC", "AMI-12", "2020-01-01")
 RENDERINGS = ("English", "eng", "ENGLISH", "french", "fre", "French",
               "Alabama", "AL", "al", "New York", "NY", "12 oz", "12.0 oz",
               "12 ounce", "N/A", "yes")
+#: values the index must take as they are: a lone surrogate, NUL, the
+#: empty string, backslashes, and forms whose lower() changes length
+ODD = ("\ud800x", "\ud800xy", "\x00", "\x00a", "", "\\", "a\\b", "İ", "i̇",
+       "I")
 
 
 @st.composite
@@ -73,7 +82,7 @@ def typos(draw):
     word = draw(st.sampled_from(VOCAB))
     for _ in range(draw(st.integers(1, 2))):
         i = draw(st.integers(0, len(word)))
-        ch = draw(st.sampled_from("aexİ1 "))
+        ch = draw(st.sampled_from("aexİ17 \\"))
         op = draw(st.sampled_from(("sub", "del", "ins", "dup")))
         if op == "sub":
             word = word[:i] + ch + word[i + 1:]
@@ -86,14 +95,27 @@ def typos(draw):
     return word
 
 
+#: case-only variants, at edit distance 0 once lower-cased
+recased = st.builds(lambda w, f: f(w), st.sampled_from(VOCAB),
+                    st.sampled_from((str.upper, str.lower, str.swapcase)))
+#: numbers that differ only in digits, whose stripped forms are equal
+renumbered = st.builds(lambda w, d: "".join(d if c.isdigit() else c
+                                            for c in w),
+                       st.sampled_from([w for w in VOCAB
+                                        if any(c.isdigit() for c in w)]),
+                       st.sampled_from("0259"))
+#: frequencies with many ties (and 0, whose floor admits every value)
+freqs = st.one_of(st.sampled_from((0, 1, 2, 4, 8, 16)), st.integers(0, 60))
+words = st.one_of(st.sampled_from(VOCAB), st.sampled_from(RENDERINGS),
+                  typos(), recased, renumbered, st.sampled_from(ODD))
+
 values_st = st.dictionaries(
-    st.one_of(st.sampled_from(VOCAB), st.sampled_from(RENDERINGS), typos()),
-    st.integers(1, 60), min_size=1, max_size=40,
+    words, freqs, min_size=1, max_size=40,
 ).flatmap(lambda d: st.permutations(list(d.items())))
 
 
 @settings(max_examples=200, deadline=None)
-@given(values_st, typos())
+@given(values_st, words)
 def test_indexed_review_matches_brute_force(values, extra):
     want_unusual = tuple(v for v, c in values
                          if _oracle_fix(v, values, c) is not None)
@@ -112,3 +134,77 @@ def test_indexed_review_matches_brute_force(values, extra):
     assert llm.map_string_outliers("col", asked, values).mapping == want_map
     assert (SimulatedLLM().map_string_outliers("col", asked, values).mapping
             == want_map)
+
+
+def _batched(index):
+    """The batched search's answer for each of ``index``'s entries."""
+    own = index.entries
+    got = SimulatedLLM()._typo_targets(index, own)
+    return dict(zip(zip(own.values, own.freqs.tolist()), got))
+
+
+def _looped(values):
+    """The reference loop's answer for each non-NULL ``(value, freq)``."""
+    by_len = typo_buckets(values)
+    return {(v, c): typo_target(v, c, by_len) for v, c in values
+            if v is not None}
+
+
+@settings(max_examples=300, deadline=None)
+@given(values_st, words, freqs)
+def test_batched_typo_search_matches_the_loop(values, extra, extra_freq):
+    """Every entry of a drawn list, searched as one batch, and an
+    outside value searched alone, get the loop's typo target."""
+    index = client._StringIndex(tuple(values))
+    assert _batched(index) == _looped(values)
+    by_len = typo_buckets(values)
+    alone = _Strings([extra], [extra_freq], [extra.lower()], index.alphabet,
+                     index.stripped)
+    assert (SimulatedLLM()._typo_targets(index, alone)
+            == [typo_target(extra, extra_freq, by_len)])
+
+
+def test_odd_values_are_searched_like_the_loop():
+    """A lone surrogate, NUL, the empty string and backslashes are
+    indexed and searched without raising, as the loop decides, also
+    when asked about from outside the list."""
+    values = ([(v, 1) for v in ODD]
+              + [(v, 50) for v in ("\ud800xz", "\x00b", "ab\\", "x", "\\\\")])
+    index = client._StringIndex(tuple(values))
+    assert _batched(index) == _looped(values)
+    llm = SimulatedLLM()
+    review = llm.review_string_outliers("col", values)
+    asked = list(review.unusual_values) + ["\ud801", "\\x", "\x00\x00"]
+    by_len = typo_buckets(values)
+    want = {v: typo_target(v, dict(values).get(v, 1), by_len) for v in asked}
+    assert want["\ud800xy"] == "\ud800xz" and want["\x00a"] == "\x00b"
+    got = llm.map_string_outliers("col", asked, values).mapping
+    assert got == {v: t for v, t in want.items() if t is not None}
+
+
+@pytest.mark.parametrize(
+    "name", ["hospital", "rayyan", "beers", "flights", "movies"])
+def test_benchmark_typo_searches_match_the_loop(monkeypatch, name):
+    """Every prompt index a Spark-free plan of the benchmark builds
+    answers each of its ``(value, freq)`` as the loop does, and the
+    plan's own memo holds those answers."""
+    from repro.benchdata import load
+    from repro.core.pipeline import CocoonPipeline
+    from repro.profiling import fd
+    from tests.reference_stats import string_table
+
+    built = []
+
+    class Recorded(client._StringIndex):
+        def __init__(self, values):
+            super().__init__(values)
+            built.append(self)
+
+    monkeypatch.setattr(client, "_StringIndex", Recorded)
+    cube = fd.Cube.of(string_table(load(name).dirty.drop(columns="row_id")))
+    CocoonPipeline(SimulatedLLM()).plan(cube, name)
+    assert built
+    for index in built:
+        want = _looped(index.values)
+        assert _batched(index) == want
+        assert index.typos is None or index.typos.items() <= want.items()
