@@ -8,6 +8,8 @@ the reproduced tables are stable across runs.
 """
 from __future__ import annotations
 
+import copy
+import math
 import string
 from typing import Protocol
 
@@ -48,19 +50,20 @@ class LLMClient(Protocol):
     def review_misplacement(self, col_a: str, col_b: str, n_evidence: int, sample: list[tuple[str, str]]) -> MisplacementReview: ...
 
 
-#: ``str.translate`` table deleting ASCII letters and digits, which are
-#: all of an ASCII string's ``str.isalnum`` characters
-_ASCII_ALNUM = dict.fromkeys(
-    ord(c) for c in string.ascii_letters + string.digits)
+#: ASCII letters and digits, which are all of an ASCII string's
+#: ``str.isalnum`` characters (``bytes.translate`` deletes them)
+_ASCII_ALNUM = (string.ascii_letters + string.digits).encode()
 
 
 def _digit_heavy(v: str) -> bool:
     """Whether most of ``v``'s alphanumeric characters are digits."""
     if v.isascii():
-        alnum = len(v) - len(v.translate(_ASCII_ALNUM))
+        b = v.encode()
+        alnum = len(b) - len(b.translate(None, _ASCII_ALNUM))
+        digits = len(b) - len(b.translate(None, kb.ASCII_DIGITS))
     else:
         alnum = sum(c.isalnum() for c in v)
-    digits = len(v) - len(kb.strip_digits(v))  # every digit is alphanumeric
+        digits = len(v) - len(kb.strip_digits(v))  # every digit is alphanumeric
     return alnum > 0 and digits / alnum > 0.5
 
 
@@ -114,28 +117,41 @@ class _Strings:
         self.counts = counts.reshape(len(lows), len(alphabet)).astype(np.int32)
         self.outside = np.bincount(row[~known], minlength=len(lows))
 
+    def take(self, rows: list[int]) -> _Strings:
+        """These strings' ``rows``, without encoding them again."""
+        part = copy.copy(self)
+        part.values = [self.values[i] for i in rows]
+        part.lows = [self.lows[i] for i in rows]
+        for name in ("freqs", "lens", "stripped", "counts", "outside"):
+            setattr(part, name, getattr(self, name)[rows])
+        return part
+
 
 class _StringIndex:
     """One string-review prompt's value list, indexed once for every value.
 
     Holds each value's concept key, each concept group's size and most
-    common form, and the fixes computed so far, keyed by
-    ``(value, frequency)`` — so the cleaning prompt over the same list
-    reuses the review's decisions.
+    common form, and ``fixes``: the decision for each ``(value,
+    frequency)``, filled for all of the list's non-NULL values by the
+    first question on the index (:meth:`SimulatedLLM._fixes`), so
+    the cleaning prompt over the same list reuses the review's
+    decisions.
 
-    The typo candidates, every non-NULL value, are ``entries``
-    (:class:`_Strings` over the list's own code points), sorted by
-    ``(length, -frequency)`` of their lower-cased forms. ``keys`` holds
-    one integer per entry over both sort fields, so two
-    ``searchsorted`` calls find the entries of one length above a
-    frequency floor. ``typos`` memoizes
-    :meth:`SimulatedLLM._typo_targets` by ``(value, frequency)``.
+    The typo candidates, every non-NULL value, are ``pairs`` ``(value,
+    frequency)`` with their lower-cased forms ``lows``, sorted by
+    ``(length, -frequency)`` of the lower-cased forms; ``top`` is the
+    highest frequency. A value has a typo candidate only if ``top``
+    reaches its frequency floor, so what the search reads is built by
+    :meth:`arrays` when the first value that passes is searched:
+    ``entries`` (:class:`_Strings` over the list's own code points, in
+    the order of ``pairs``) and ``keys``, one integer per entry over
+    both sort fields, so two ``searchsorted`` calls find the entries of
+    one length above a frequency floor.
     """
 
     def __init__(self, values: tuple[tuple[str, int], ...]) -> None:
         self.values = values
-        self.fixes: dict[tuple[str, int], str | None] = {}
-        self.typos: dict[tuple[str, int], str | None] | None = None
+        self.fixes: dict[tuple[str, int], str | None] | None = None
         self.concept_keys: dict[str, tuple[str, object] | None] = {}
         groups: dict[tuple[str, object], list[tuple[str, int]]] = {}
         cands = []
@@ -153,23 +169,31 @@ class _StringIndex:
             for ck, g in groups.items()
         }
         cands.sort(key=lambda e: (e[0], -e[1]))
-        lows = [low for _, _, _, low in cands]
-        self.alphabet = np.unique(_code_points("".join(lows)))
-        #: digit-stripped form -> id
-        self.stripped: dict[str, int] = {}
-        self.entries = _Strings([v for _, _, v, _ in cands],
-                                [c for _, c, _, _ in cands], lows,
-                                self.alphabet, self.stripped)
-        freqs = self.entries.freqs
-        self.top = int(freqs.max(initial=0))
-        self.span = self.top - int(freqs.min(initial=0)) + 1
-        self.keys = self.entries.lens * self.span + (self.top - freqs)
+        self.pairs = [(v, c) for _, c, v, _ in cands]
+        self.lows = [low for _, _, _, low in cands]
+        self.top = max((c for _, c, _, _ in cands), default=0)
+        self.entries: _Strings | None = None
 
     def concept_key(self, value: str) -> tuple[str, object] | None:
         """``value``'s :func:`_concept_key`, computed once per value."""
         if value not in self.concept_keys:
             self.concept_keys[value] = _concept_key(value)
         return self.concept_keys[value]
+
+    def arrays(self) -> _Strings:
+        """``entries``, built with ``alphabet``, the digit-stripped form
+        ids ``stripped`` and ``keys`` on the first call."""
+        if self.entries is None:
+            self.alphabet = np.unique(_code_points("".join(self.lows)))
+            #: digit-stripped form -> id
+            self.stripped: dict[str, int] = {}
+            self.entries = _Strings([v for v, _ in self.pairs],
+                                    [c for _, c in self.pairs], self.lows,
+                                    self.alphabet, self.stripped)
+            freqs = self.entries.freqs
+            self.span = self.top - int(freqs.min(initial=0)) + 1
+            self.keys = self.entries.lens * self.span + (self.top - freqs)
+        return self.entries
 
 
 class SimulatedLLM:
@@ -203,49 +227,84 @@ class SimulatedLLM:
             self._string_index = _StringIndex(key)
         return self._string_index
 
-    def _string_fix(self, value: str, index: _StringIndex,
-                    freq: int) -> str | None:
-        """The corrected form of ``value``, or ``None`` if it looks fine."""
-        if (value, freq) not in index.fixes:
-            index.fixes[value, freq] = self._compute_fix(value, index, freq)
-        return index.fixes[value, freq]
+    def _fixes(self, index: _StringIndex,
+               asked: list[tuple[str, int]]) -> list[str | None]:
+        """The corrected form of each asked ``(value, frequency)``, or
+        ``None`` where it looks fine. The first question on an index
+        decides all of its values as one batch; the asked values outside
+        the list are a batch of their own."""
+        if index.fixes is None:
+            index.fixes = dict(zip(index.pairs,
+                                   self._string_fixes(index, index.pairs)))
+        fixes = index.fixes
+        new = list(dict.fromkeys(q for q in asked if q not in fixes))
+        if new:
+            fixes.update(zip(new, self._string_fixes(index, new)))
+        return [fixes[q] for q in asked]
 
-    def _compute_fix(self, value: str, index: _StringIndex,
-                     freq: int) -> str | None:
-        if value is None or kb.is_dmv_token(value) or kb.boolean_token(value) is not None:
-            return None
-        # inconsistent representation of a known concept -> most common form
-        ck = index.concept_key(value)
-        if ck is not None:
-            size, rep = index.concepts.get(ck, (0, None))
-            if size > 1 and rep != value:
-                return rep
-            return None
+    def _string_fixes(self, index: _StringIndex,
+                      queries: list[tuple[str, int]]) -> list[str | None]:
+        """The corrected form of each ``(value, frequency)`` of
+        ``queries`` (``index.pairs`` itself, or values outside the
+        list), or ``None`` where it looks fine.
+
+        Each value passes the stages below in order and stops at the
+        first that decides it. Each stage runs once over the values
+        that reach it: the typo search as one join (:meth:`_typo_targets`,
+        only over values whose frequency floor ``top`` reaches), and the
+        dictionary repair as one scan for the words
+        :func:`knowledge.fix_words` looks up (each new one is repaired
+        once, into the model's memo), after which ``fix_words`` runs
+        only on the values that hold a word with a repair.
+        """
+        fixes: list[str | None] = [None] * len(queries)
+        typo_stage = []
+        for i, (v, _) in enumerate(queries):
+            if v is None or kb.is_dmv_token(v) or kb.boolean_token(v) is not None:
+                continue
+            # inconsistent representation of a known concept -> most
+            # common form
+            ck = index.concept_key(v)
+            if ck is not None:
+                size, rep = index.concepts.get(ck, (0, None))
+                if size > 1 and rep != v:
+                    fixes[i] = rep
+                continue
+            typo_stage.append(i)
         # frequency-based typo of a much more common same-column value
-        best = self._typo_target(value, index, freq)
-        if best is not None:
-            return best
+        searched = [i for i in typo_stage
+                    if math.ceil(queries[i][1] * self.MIN_FREQ_RATIO)
+                    <= index.top]
+        if searched:
+            entries = index.arrays()
+            if queries is index.pairs:  # the rows of entries
+                batch = entries.take(searched)
+            else:
+                batch = _Strings([queries[i][0] for i in searched],
+                                 [queries[i][1] for i in searched],
+                                 [queries[i][0].lower() for i in searched],
+                                 index.alphabet, index.stripped)
+            for i, best in zip(searched, self._typo_targets(index, batch)):
+                fixes[i] = best
         # open-vocabulary dictionary typo (titles, names, free text)
-        if not _digit_heavy(value):
-            fixed = kb.fix_words(value, self._word_fixes)
-            if fixed is not None:
-                return fixed
-        return None
-
-    def _typo_target(self, value: str, index: _StringIndex,
-                     freq: int) -> str | None:
-        """``value``'s typo target in ``index``. The first search on an
-        index answers all of its entries as one batch; a value outside
-        the list is a batch of its own."""
-        if index.typos is None:
-            own = index.entries
-            index.typos = dict(zip(zip(own.values, own.freqs.tolist()),
-                                   self._typo_targets(index, own)))
-        if (value, freq) not in index.typos:
-            index.typos[value, freq] = self._typo_targets(index, _Strings(
-                [value], [freq], [value.lower()], index.alphabet,
-                index.stripped))[0]
-        return index.typos[value, freq]
+        texts = {i: queries[i][0] for i in typo_stage
+                 if fixes[i] is None and not _digit_heavy(queries[i][0])}
+        memo = self._word_fixes
+        repaired = []
+        for word in dict.fromkeys(
+                kb.LOOKED_UP_WORD_RE.findall("\n".join(texts.values()))):
+            low = word.lower()
+            if low not in memo:
+                memo[low] = kb._dictionary_fix(low)
+            if memo[low] is not None:
+                repaired.append(word)
+        if repaired:
+            # a value that holds no repaired word, not even as a
+            # substring, is one fix_words would leave alone
+            for i, v in texts.items():
+                if any(word in v for word in repaired):
+                    fixes[i] = kb.fix_words(v, memo)
+        return fixes
 
     def _typo_targets(self, index: _StringIndex,
                       queries: _Strings) -> list[str | None]:
@@ -265,8 +324,8 @@ class SimulatedLLM:
         below (the q = 1 count filter of Gravano et al., VLDB 2001).
         :func:`knowledge.edit_distance` runs only on the pairs left.
         """
-        own = index.entries
-        if not own.values:
+        own = index.arrays()
+        if not own.values or not queries.values:
             return [None] * len(queries.values)
         budgets = np.array([kb.typo_budget(v) for v in queries.values],
                            dtype=np.int64)
@@ -327,9 +386,9 @@ class SimulatedLLM:
                                values: ValueCounts) -> StringOutlierReview:
         self.calls += 1
         prompt = prompts.string_outlier_detection(column, values)
-        index = self._index(values)
-        unusual = [v for v, c in values
-                   if v is not None and self._string_fix(v, index, c) is not None]
+        asked = [(v, c) for v, c in values if v is not None]
+        unusual = [v for (v, _), fix in zip(asked, self._fixes(
+            self._index(values), asked)) if fix is not None]
         if unusual:
             reasoning = (
                 f"{len(unusual)} values look like typos or inconsistent "
@@ -349,11 +408,10 @@ class SimulatedLLM:
                             frequent: ValueCounts) -> StringOutlierMapping:
         self.calls += 1
         prompt = prompts.string_outlier_cleaning(column, unusual, frequent)
-        index = self._index(frequent)
         freq_of = dict(frequent)
+        asked = [(v, freq_of.get(v, 1)) for v in unusual]
         mapping: dict[str, str] = {}
-        for v in unusual:
-            fixed = self._string_fix(v, index, freq_of.get(v, 1))
+        for v, fixed in zip(unusual, self._fixes(self._index(frequent), asked)):
             if fixed is not None and fixed != v:
                 mapping[v] = fixed
         reasoning = (

@@ -14,6 +14,7 @@ datasets contain real-world entities that a real LLM knows about.
 from __future__ import annotations
 
 import re
+import string
 
 # ---------------------------------------------------------------------------
 # Vocabularies
@@ -195,15 +196,15 @@ def typo_budget(value: str) -> int:
     return 1 if len(value) <= 6 else 2
 
 
-#: ``str.translate`` table deleting the ten ASCII digits, which are all
-#: of an ASCII string's ``str.isdigit`` characters
-_ASCII_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
+#: the ten ASCII digits, which are all of an ASCII string's
+#: ``str.isdigit`` characters (``bytes.translate`` deletes them)
+ASCII_DIGITS = string.digits.encode()
 
 
 def strip_digits(value: str) -> str:
     """``value`` without its digit characters."""
     if value.isascii():
-        return value.translate(_ASCII_DIGITS)
+        return value.encode().translate(None, ASCII_DIGITS).decode()
     return "".join(ch for ch in value if not ch.isdigit())
 
 
@@ -291,6 +292,12 @@ def fix_words(text: str,
 
     out = _WORD_RE.sub(_fix, text)
     return out if changed else None
+
+
+#: the words :func:`fix_words` looks up: maximal runs of at least five
+#: ASCII letters that no ``.`` follows (found in one pass over many
+#: values joined by ``"\n"``, which is no letter)
+LOOKED_UP_WORD_RE = re.compile(r"(?<![A-Za-z])[A-Za-z]{5,}(?![A-Za-z.])")
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ the profiles derived from it and HoloClean's SQL against them.
 It also keeps the simulated LLM's character-class kernels as
 character loops over ``str.isdigit``, ``str.isalpha`` and
 ``str.isalnum``, which the tests check the ASCII fast paths against,
-and its typo search as a loop per value over length buckets with
+its typo search as a loop per value over length buckets with
 ``edit_distance`` on every candidate above the frequency floor, which
-the tests check the batched search against.
+the tests check the batched search against, and its string review as
+the chain of stages run on one value at a time, which the tests check
+the review batched per prompt against.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.holoclean import TAU
 from repro.llm import knowledge as kb
-from repro.llm.client import SimulatedLLM
+from repro.llm.client import SimulatedLLM, _concept_key
 from repro.profiling import fd
 from repro.profiling.column_profile import TOP_K, ColumnProfile
 
@@ -431,3 +433,42 @@ def typo_target(value: str, freq: int,
     if len(at_min) > 1 and at_min[0][1] == at_min[1][1]:
         return None
     return at_min[0][2]
+
+
+# ---------------------------------------------------------------------------
+# the simulated LLM's string review, one value at a time
+# ---------------------------------------------------------------------------
+
+def concept_groups(values: Iterable[tuple[str | None, int]]
+                   ) -> dict[tuple[str, object], tuple[int, str]]:
+    """Each concept key of a prompt's values -> (group size, most
+    common form, ties to the largest form)."""
+    groups: dict[tuple[str, object], list[tuple[str, int]]] = {}
+    for v, c in values:
+        if v is not None and (ck := _concept_key(v)) is not None:
+            groups.setdefault(ck, []).append((v, c))
+    return {ck: (len(g), max(g, key=lambda vc: (vc[1], vc[0]))[0])
+            for ck, g in groups.items()}
+
+
+def string_fix(value: str | None, freq: int,
+               by_len: dict[int, list[tuple[int, str, str, str]]],
+               concepts: dict[tuple[str, object], tuple[int, str]],
+               memo: dict[str, str | None] | None = None) -> str | None:
+    """``SimulatedLLM._string_fixes`` for one value: the stages in order
+    (DMV/boolean skip, concept group, typo target, digit-heavy, words),
+    the first that decides ends the chain. ``by_len`` and ``concepts``
+    are :func:`typo_buckets` and :func:`concept_groups` of the prompt's
+    values."""
+    if value is None or kb.is_dmv_token(value) or kb.boolean_token(value) is not None:
+        return None
+    ck = _concept_key(value)
+    if ck is not None:
+        size, rep = concepts.get(ck, (0, None))
+        return rep if size > 1 and rep != value else None
+    best = typo_target(value, freq, by_len)
+    if best is not None:
+        return best
+    if digit_heavy(value):
+        return None
+    return kb.fix_words(value, memo)

@@ -197,33 +197,84 @@ def test_numeric_step_skips_column_the_type_step_merged():
     assert llm.reviewed == ["runtime"]
 
 
-def test_fresh_models_do_the_same_review_work(monkeypatch):
-    """A model's dictionary repairs are remembered by the model, not by
-    the process: two fresh models planning Movies make the same number
-    of ``edit_distance`` calls, and the same plan. The typo search's
-    character-count filter keeps that number under half of the 91,548
-    calls the search made when it tried every candidate."""
+def _movies_review_work() -> dict:
+    """What two fresh models do planning Movies, Spark-free: the
+    ``edit_distance`` calls of each plan, whether the plans are equal,
+    the prompt indexes of the first plan and how many built the typo
+    search's arrays, and that model's word repairs next to those the
+    chain per value (``tests/reference_stats.string_fix``) makes over
+    the same prompts."""
     from repro.benchdata import load
+    from repro.llm import client
     from repro.llm import knowledge as kb
     from repro.profiling import fd
-    from tests.reference_stats import string_table
+    from tests.reference_stats import (concept_groups, string_fix,
+                                       string_table, typo_buckets)
 
     cube = fd.Cube.of(string_table(load("movies").dirty.drop(
         columns="row_id")))
-    calls = []
+    calls, built, plans, models = [], [], [], []
+    edit_distance, index_class = kb.edit_distance, client._StringIndex
 
-    def counted(*args, _orig=kb.edit_distance, **kwargs):
+    def counted(*args, **kwargs):
         calls[-1] += 1
-        return _orig(*args, **kwargs)
+        return edit_distance(*args, **kwargs)
 
-    monkeypatch.setattr(kb, "edit_distance", counted)
-    plans = []
-    for _ in range(2):
-        calls.append(0)
-        plans.append(CocoonPipeline(SimulatedLLM()).plan(cube, "movies"))
-    assert calls[0] == calls[1] > 0
-    assert calls[0] < 91_548 // 2
-    assert plans[0] == plans[1]
+    class Recorded(index_class):
+        def __init__(self, values):
+            super().__init__(values)
+            built.append(self)
+
+    kb.edit_distance, client._StringIndex = counted, Recorded
+    try:
+        for _ in range(2):
+            calls.append(0)
+            models.append(SimulatedLLM())
+            plans.append(CocoonPipeline(models[-1]).plan(cube, "movies"))
+    finally:
+        kb.edit_distance, client._StringIndex = edit_distance, index_class
+    first = built[:len(built) // 2]
+    chain_words: dict = {}
+    for index in first:
+        by_len = typo_buckets(index.values)
+        concepts = concept_groups(index.values)
+        for v, c in index.pairs:
+            string_fix(v, c, by_len, concepts, chain_words)
+    return {"calls": calls, "same_plan": plans[0] == plans[1],
+            "indexes": len(first),
+            "arrays": sum(index.entries is not None for index in first),
+            "words": models[0]._word_fixes, "chain_words": chain_words}
+
+
+def test_fresh_models_do_the_same_review_work():
+    """A model's dictionary repairs are remembered by the model, not by
+    the process: two fresh models planning Movies make the same number
+    of ``edit_distance`` calls, and the same plan. The review batched
+    per prompt looks up exactly the chain's words (181 at this seed,
+    with the same repairs), builds the typo search's arrays only for
+    the 12 of 34 prompts where a value can reach its frequency floor,
+    and makes no more ``edit_distance`` calls than the 9,936 of the
+    search that built them for every prompt. Movies' table depends on
+    ``PYTHONHASHSEED``, so the plans run in a child at seed 0."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json; from tests.test_pipeline "
+         "import _movies_review_work as w; print(json.dumps(w()))"],
+        cwd=root, env=env, capture_output=True, text=True, check=True)
+    work = json.loads(out.stdout.splitlines()[-1])
+    assert work["calls"][0] == work["calls"][1] <= 9_936
+    assert work["same_plan"]
+    assert work["words"] == work["chain_words"]
+    assert len(work["words"]) == 181
+    assert (work["arrays"], work["indexes"]) == (12, 34)
 
 
 def test_duplicates_removed_without_row_id(spark):

@@ -180,6 +180,8 @@ kernel_text = (st.text(st.characters(max_codepoint=127), max_size=16)
 @given(kernel_text)
 @example("12/01/2011")
 @example("Straße ²½ 1٣")
+@example("".join(map(chr, range(128))))
+@example("\x1c\x1d\x1e\x1f")
 def test_character_kernels_match_their_loops(v):
     assert kb.shape_of(v) == reference_stats.shape_of(v)
     assert kb.strip_digits(v) == reference_stats.strip_digits(v)

@@ -1,9 +1,11 @@
 """The indexed string review (§2.1.1) decides exactly like a brute-force
-scan of the prompt's value list, and its batched typo search answers
-exactly what a loop per value over length buckets answers
-(``tests/reference_stats.py``), on drawn lists and on every prompt that
-the five benchmarks' plans send. (``edit_distance`` itself is checked
-against a full-matrix Levenshtein in ``test_properties.py``.)"""
+scan of the prompt's value list; its review batched per prompt decides
+exactly like the chain of stages run on one value at a time, and its
+batched typo search answers exactly what a loop per value over length
+buckets answers (``tests/reference_stats.py``), on drawn lists and on
+every prompt that the five benchmarks' plans send. (``edit_distance``
+itself is checked against a full-matrix Levenshtein in
+``test_properties.py``.)"""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from repro.llm import SimulatedLLM, client
 from repro.llm import knowledge as kb
 from repro.llm.client import _concept_key, _digit_heavy, _Strings
-from tests.reference_stats import typo_buckets, typo_target
+from tests.reference_stats import (concept_groups, string_fix, typo_buckets,
+                                   typo_target)
 
 MIN_FREQ_RATIO = SimulatedLLM.MIN_FREQ_RATIO
 
@@ -138,7 +141,7 @@ def test_indexed_review_matches_brute_force(values, extra):
 
 def _batched(index):
     """The batched search's answer for each of ``index``'s entries."""
-    own = index.entries
+    own = index.arrays()
     got = SimulatedLLM()._typo_targets(index, own)
     return dict(zip(zip(own.values, own.freqs.tolist()), got))
 
@@ -187,7 +190,8 @@ def test_odd_values_are_searched_like_the_loop():
 def test_benchmark_typo_searches_match_the_loop(monkeypatch, name):
     """Every prompt index a Spark-free plan of the benchmark builds
     answers each of its ``(value, freq)`` as the loop does, and the
-    plan's own memo holds those answers."""
+    fixes the plan's review made in one batch per prompt are the
+    chain's, for every value of the list."""
     from repro.benchdata import load
     from repro.core.pipeline import CocoonPipeline
     from repro.profiling import fd
@@ -204,7 +208,89 @@ def test_benchmark_typo_searches_match_the_loop(monkeypatch, name):
     cube = fd.Cube.of(string_table(load(name).dirty.drop(columns="row_id")))
     CocoonPipeline(SimulatedLLM()).plan(cube, name)
     assert built
+    memo = {}
     for index in built:
-        want = _looped(index.values)
-        assert _batched(index) == want
-        assert index.typos is None or index.typos.items() <= want.items()
+        values = index.values
+        assert _batched(index) == _looped(values)
+        by_len, concepts = typo_buckets(values), concept_groups(values)
+        assert index.fixes.keys() >= set(index.pairs)
+        assert index.fixes == {
+            (v, c): string_fix(v, c, by_len, concepts, memo)
+            for v, c in index.fixes}
+
+
+# -- the review batched per prompt against the chain per value ---------------
+
+#: dictionary words of four letters, which ``fix_words`` never looks up,
+#: and of five or more
+DICT_WORDS = ("care", "Lake", "pale", "trial", "study", "River", "heart",
+              "hospital", "randomized", "cardiac")
+#: misspellings with one dictionary repair, of five letters and more,
+#: and one of four letters, which ``fix_words`` leaves alone
+MISSPELT = ("stody", "Rivar", "hosspital", "randomised", "Hospitall", "lagr")
+#: what a word can stand next to: a ``.`` (an abbreviation), digits,
+#: ``_``, non-ASCII letters, line and record separators, nothing
+GLUE = (" ", ".", ". ", "_", "é", "İ", "7", "42", "-", "\n", "\x1c",
+        "\x1d", "\x1e", "\x1f", "")
+CASES = (str, str.upper, str.lower, str.capitalize, str.swapcase)
+#: values that are mostly digits, odd strings, and language/state
+#: renderings that a concept group decides
+OTHERS = ("2011-12-01", "10:30 a.m.", "AB12345", "111 patients",
+          "\x1c\x1d\x1e\x1f", "", "\x00", "\ud800x", "English", "eng",
+          "AL")
+
+
+def _text(words):
+    parts = st.lists(st.tuples(st.sampled_from(words), st.sampled_from(GLUE)),
+                     min_size=1, max_size=4)
+    return st.builds(lambda ps, case: case("".join(w + g for w, g in ps)),
+                     parts, st.sampled_from(CASES))
+
+
+clean_text = st.one_of(_text(DICT_WORDS), st.sampled_from(OTHERS),
+                       typos(), recased)
+misspelt_text = _text(DICT_WORDS + MISSPELT)
+
+
+@st.composite
+def review_lists(draw):
+    """A prompt's ``(value, freq)`` list: clean texts, at most one value
+    holding a misspelling, and frequencies either spread (0 included)
+    or so flat that no value reaches another's frequency floor."""
+    freq = draw(st.sampled_from((freqs, st.integers(1, 3))))
+    values = draw(st.dictionaries(clean_text, freq, min_size=1, max_size=30))
+    odd = draw(st.none() | misspelt_text)
+    if odd is not None:
+        values[odd] = draw(freq)
+    return draw(st.permutations(list(values.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(review_lists(), misspelt_text | clean_text)
+def test_batched_review_matches_the_chain(values, extra):
+    """The review and the cleaning prompt over a drawn list decide every
+    value, and an outside value, as the chain run on that value alone
+    does."""
+    by_len, concepts = typo_buckets(values), concept_groups(values)
+    freq_of = dict(values)
+
+    def fix(v):
+        return string_fix(v, freq_of.get(v, 1), by_len, concepts)
+
+    want_unusual = tuple(v for v, _ in values if fix(v) is not None)
+    asked = list(want_unusual) + [extra]  # extra may be missing from the list
+    want_map = {v: fix(v) for v in asked if fix(v) not in (None, v)}
+    llm = SimulatedLLM()
+    assert llm.review_string_outliers("col", values).unusual_values == want_unusual
+    assert llm.map_string_outliers("col", asked, values).mapping == want_map
+
+
+def test_no_value_reaching_the_floor_builds_no_arrays():
+    """A list whose top frequency is under every value's floor is
+    reviewed without the typo search's arrays, also for a list of
+    one value."""
+    for values in ([("BIRMINGHAM", 4)],
+                   [("Birmingham", 3), ("Birminghm", 1), ("Boston", 2)]):
+        llm = SimulatedLLM()
+        assert llm.review_string_outliers("col", values).unusual_values == ()
+        assert llm._string_index.entries is None
