@@ -20,10 +20,6 @@ STREETS = ("Main Street", "Oak Avenue", "Church Road", "Park Drive",
            "Maple Boulevard", "River Road", "Hill Street", "Lake Avenue",
            "Pine Street", "Cedar Avenue")
 
-CONDITIONS = ("Heart Attack", "Heart Failure", "Pneumonia",
-              "Surgical Infection Prevention", "Emergency Care",
-              "Chronic Disease Care", "Stroke Care", "Childrens Asthma")
-
 MEASURES = tuple(
     (f"{code}-{i}", f"{cond} measure {i}")
     for code, cond in (("AMI", "Heart Attack"), ("HF", "Heart Failure"),

@@ -36,20 +36,16 @@ def fold_counts(counts: Counts, values: ValueMap) -> Counts:
     merge their counts, values mapped to ``None`` drop out."""
     merged: dict[str, int] = {}
     for v, c in counts:
-        w = fold(v, [values])
+        w = fold(v, values)
         if w is not None:
             merged[w] = merged.get(w, 0) + c
     return tuple(sorted(merged.items(), key=lambda vc: (-vc[1], vc[0])))
 
 
-def fold(value: str | None, maps: list[ValueMap]) -> str | None:
-    """``value`` after a column's layers, applied as the SQL applies
-    them: one lookup per layer, and NULL stays NULL."""
-    for m in maps:
-        if value is None:
-            break
-        value = m.get(value, value)
-    return value
+def fold(value: str | None, values: ValueMap) -> str | None:
+    """``value`` after one layer's map, applied as the SQL applies it:
+    one lookup, and NULL stays NULL."""
+    return None if value is None else values.get(value, value)
 
 
 def fold_cube(cube: Cube, maps: dict[str, ValueMap]) -> Cube:
@@ -62,7 +58,7 @@ def fold_cube(cube: Cube, maps: dict[str, ValueMap]) -> Cube:
     gives.
     """
     return cube.recoded({
-        c: (codes, np.array([fold(v, [maps[c]]) for v in values.tolist()],
+        c: (codes, np.array([fold(v, maps[c]) for v in values.tolist()],
                             dtype=object))
         for c, codes, values in zip(cube.columns, cube.codes.T, cube.values)
         if maps.get(c)})

@@ -8,10 +8,9 @@ the reproduced tables are stable across runs.
 """
 from __future__ import annotations
 
-import copy
 import math
 import string
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -91,111 +90,6 @@ def _code_points(text: str) -> np.ndarray:
                          dtype="<u4")
 
 
-class _Strings:
-    """Values with their frequencies and what the typo search reads of
-    them: the lower-cased forms and their lengths, the ids of the
-    digit-stripped forms in ``stripped`` (new forms get new ids), and
-    each lower-cased form's character counts over ``alphabet``, with its
-    count of characters outside it."""
-
-    def __init__(self, values: list[str], freqs: list[int], lows: list[str],
-                 alphabet: np.ndarray, stripped: dict[str, int]) -> None:
-        self.values = values
-        self.freqs = np.array(freqs, dtype=np.int64)
-        self.lows = lows
-        self.lens = np.array([len(t) for t in lows], dtype=np.int64)
-        self.stripped = np.array(
-            [stripped.setdefault(kb.strip_digits(v), len(stripped))
-             for v in values], dtype=np.int64)
-        cps = _code_points("".join(lows))
-        col = np.searchsorted(alphabet, cps)
-        known = col < len(alphabet)
-        known[known] = alphabet[col[known]] == cps[known]
-        row = np.repeat(np.arange(len(lows)), self.lens)
-        counts = np.bincount(row[known] * len(alphabet) + col[known],
-                             minlength=len(lows) * len(alphabet))
-        self.counts = counts.reshape(len(lows), len(alphabet)).astype(np.int32)
-        self.outside = np.bincount(row[~known], minlength=len(lows))
-
-    def take(self, rows: list[int]) -> _Strings:
-        """These strings' ``rows``, without encoding them again."""
-        part = copy.copy(self)
-        part.values = [self.values[i] for i in rows]
-        part.lows = [self.lows[i] for i in rows]
-        for name in ("freqs", "lens", "stripped", "counts", "outside"):
-            setattr(part, name, getattr(self, name)[rows])
-        return part
-
-
-class _StringIndex:
-    """One string-review prompt's value list, indexed once for every value.
-
-    Holds each value's concept key, each concept group's size and most
-    common form, and ``fixes``: the decision for each ``(value,
-    frequency)``, filled for all of the list's non-NULL values by the
-    first question on the index (:meth:`SimulatedLLM._fixes`), so
-    the cleaning prompt over the same list reuses the review's
-    decisions.
-
-    The typo candidates, every non-NULL value, are ``pairs`` ``(value,
-    frequency)`` with their lower-cased forms ``lows``, sorted by
-    ``(length, -frequency)`` of the lower-cased forms; ``top`` is the
-    highest frequency. A value has a typo candidate only if ``top``
-    reaches its frequency floor, so what the search reads is built by
-    :meth:`arrays` when the first value that passes is searched:
-    ``entries`` (:class:`_Strings` over the list's own code points, in
-    the order of ``pairs``) and ``keys``, one integer per entry over
-    both sort fields, so two ``searchsorted`` calls find the entries of
-    one length above a frequency floor.
-    """
-
-    def __init__(self, values: tuple[tuple[str, int], ...]) -> None:
-        self.values = values
-        self.fixes: dict[tuple[str, int], str | None] | None = None
-        self.concept_keys: dict[str, tuple[str, object] | None] = {}
-        groups: dict[tuple[str, object], list[tuple[str, int]]] = {}
-        cands = []
-        for v, c in values:
-            if v is None:
-                continue
-            ck = self.concept_key(v)
-            if ck is not None:
-                groups.setdefault(ck, []).append((v, c))
-            low = v.lower()
-            cands.append((len(low), c, v, low))
-        #: concept key -> (group size, representative form)
-        self.concepts = {
-            ck: (len(g), max(g, key=lambda vc: (vc[1], vc[0]))[0])
-            for ck, g in groups.items()
-        }
-        cands.sort(key=lambda e: (e[0], -e[1]))
-        self.pairs = [(v, c) for _, c, v, _ in cands]
-        self.lows = [low for _, _, _, low in cands]
-        self.top = max((c for _, c, _, _ in cands), default=0)
-        self.entries: _Strings | None = None
-
-    def concept_key(self, value: str) -> tuple[str, object] | None:
-        """``value``'s :func:`_concept_key`, computed once per value."""
-        if value not in self.concept_keys:
-            self.concept_keys[value] = _concept_key(value)
-        return self.concept_keys[value]
-
-    def arrays(self) -> _Strings:
-        """``entries``, built with ``alphabet``, the digit-stripped form
-        ids ``stripped`` and ``keys`` on the first call."""
-        if self.entries is None:
-            self.alphabet = np.unique(_code_points("".join(self.lows)))
-            #: digit-stripped form -> id
-            self.stripped: dict[str, int] = {}
-            self.entries = _Strings([v for v, _ in self.pairs],
-                                    [c for _, c in self.pairs], self.lows,
-                                    self.alphabet, self.stripped)
-            freqs = self.entries.freqs
-            self.span = self.top - int(freqs.min(initial=0)) + 1
-            self.keys = self.entries.lens * self.span + (self.top - freqs)
-        return self.entries
-
-
 class SimulatedLLM:
     """Deterministic stand-in for the paper's Claude 3.5 calls.
 
@@ -214,81 +108,67 @@ class SimulatedLLM:
 
     def __init__(self) -> None:
         self.calls = 0  # prompt counter, reported in cleaning summaries
-        self._string_index: _StringIndex | None = None
+        # the last string-review list and its decisions (_fixes)
+        self._last_review: tuple[tuple, dict] | None = None
         # each word's dictionary repair (knowledge.fix_words)
         self._word_fixes: dict[str, str | None] = {}
 
     # -- string outliers (§2.1.1, Figs. 2-3) --------------------------------
 
-    def _index(self, values: ValueCounts) -> _StringIndex:
-        """The index of ``values``, rebuilt only when the list changes."""
+    def _fixes(self, values: ValueCounts) -> dict[tuple[str, int], str | None]:
+        """:meth:`_string_fixes` of ``values``, kept for the last list
+        asked, so the cleaning prompt over the list the review just
+        answered reuses its decisions."""
         key = tuple(values)
-        if self._string_index is None or self._string_index.values != key:
-            self._string_index = _StringIndex(key)
-        return self._string_index
+        if self._last_review is None or self._last_review[0] != key:
+            self._last_review = (key, self._string_fixes(key))
+        return self._last_review[1]
 
-    def _fixes(self, index: _StringIndex,
-               asked: list[tuple[str, int]]) -> list[str | None]:
-        """The corrected form of each asked ``(value, frequency)``, or
-        ``None`` where it looks fine. The first question on an index
-        decides all of its values as one batch; the asked values outside
-        the list are a batch of their own."""
-        if index.fixes is None:
-            index.fixes = dict(zip(index.pairs,
-                                   self._string_fixes(index, index.pairs)))
-        fixes = index.fixes
-        new = list(dict.fromkeys(q for q in asked if q not in fixes))
-        if new:
-            fixes.update(zip(new, self._string_fixes(index, new)))
-        return [fixes[q] for q in asked]
-
-    def _string_fixes(self, index: _StringIndex,
-                      queries: list[tuple[str, int]]) -> list[str | None]:
-        """The corrected form of each ``(value, frequency)`` of
-        ``queries`` (``index.pairs`` itself, or values outside the
-        list), or ``None`` where it looks fine.
+    def _string_fixes(self, values: ValueCounts
+                      ) -> dict[tuple[str, int], str | None]:
+        """The corrected form of each non-NULL ``(value, frequency)`` of
+        a prompt's ``values``, or ``None`` where it looks fine.
 
         Each value passes the stages below in order and stops at the
         first that decides it. Each stage runs once over the values
         that reach it: the typo search as one join (:meth:`_typo_targets`,
-        only over values whose frequency floor ``top`` reaches), and the
-        dictionary repair as one scan for the words
+        only over values whose frequency floor the list's top frequency
+        reaches), and the dictionary repair as one scan for the words
         :func:`knowledge.fix_words` looks up (each new one is repaired
         once, into the model's memo), after which ``fix_words`` runs
         only on the values that hold a word with a repair.
         """
-        fixes: list[str | None] = [None] * len(queries)
+        pairs = [(v, c) for v, c in values if v is not None]
+        keys = [_concept_key(v) for v, _ in pairs]
+        groups: dict[tuple[str, object], list[tuple[str, int]]] = {}
+        for ck, vc in zip(keys, pairs):
+            if ck is not None:
+                groups.setdefault(ck, []).append(vc)
+        #: concept key -> most common form, for groups of two or more
+        reps = {ck: max(g, key=lambda vc: (vc[1], vc[0]))[0]
+                for ck, g in groups.items() if len(g) > 1}
+        fixes: list[str | None] = [None] * len(pairs)
         typo_stage = []
-        for i, (v, _) in enumerate(queries):
-            if v is None or kb.is_dmv_token(v) or kb.boolean_token(v) is not None:
+        for i, ((v, _), ck) in enumerate(zip(pairs, keys)):
+            if kb.is_dmv_token(v) or kb.boolean_token(v) is not None:
                 continue
             # inconsistent representation of a known concept -> most
             # common form
-            ck = index.concept_key(v)
             if ck is not None:
-                size, rep = index.concepts.get(ck, (0, None))
-                if size > 1 and rep != v:
-                    fixes[i] = rep
+                if reps.get(ck, v) != v:
+                    fixes[i] = reps[ck]
                 continue
             typo_stage.append(i)
         # frequency-based typo of a much more common same-column value
+        top = max((c for _, c in pairs), default=0)
         searched = [i for i in typo_stage
-                    if math.ceil(queries[i][1] * self.MIN_FREQ_RATIO)
-                    <= index.top]
+                    if math.ceil(pairs[i][1] * self.MIN_FREQ_RATIO) <= top]
         if searched:
-            entries = index.arrays()
-            if queries is index.pairs:  # the rows of entries
-                batch = entries.take(searched)
-            else:
-                batch = _Strings([queries[i][0] for i in searched],
-                                 [queries[i][1] for i in searched],
-                                 [queries[i][0].lower() for i in searched],
-                                 index.alphabet, index.stripped)
-            for i, best in zip(searched, self._typo_targets(index, batch)):
+            for i, best in zip(searched, self._typo_targets(pairs, searched)):
                 fixes[i] = best
         # open-vocabulary dictionary typo (titles, names, free text)
-        texts = {i: queries[i][0] for i in typo_stage
-                 if fixes[i] is None and not _digit_heavy(queries[i][0])}
+        texts = {i: pairs[i][0] for i in typo_stage
+                 if fixes[i] is None and not _digit_heavy(pairs[i][0])}
         memo = self._word_fixes
         repaired = []
         for word in dict.fromkeys(
@@ -304,16 +184,19 @@ class SimulatedLLM:
             for i, v in texts.items():
                 if any(word in v for word in repaired):
                     fixes[i] = kb.fix_words(v, memo)
-        return fixes
+        return dict(zip(pairs, fixes))
 
-    def _typo_targets(self, index: _StringIndex,
-                      queries: _Strings) -> list[str | None]:
-        """For each query, the value of ``index`` that it is most likely
-        a typo of, or ``None``.
+    def _typo_targets(self, pairs: list[tuple[str, int]],
+                      queries: Sequence[int]) -> list[str | None]:
+        """For each row of ``queries``, the value of ``pairs`` (a
+        prompt's non-NULL ``(value, frequency)`` list) that the row's
+        value is most likely a typo of, or ``None``.
 
         A candidate is at least ``MIN_FREQ_RATIO`` times as frequent,
         does not differ only in digits, and its lower-cased form is
-        within the query's typo budget of the query's. The candidates
+        within the query's typo budget of the query's. The entries are
+        sorted by ``(length, -frequency)`` of their lower-cased forms
+        and keyed by one integer over both fields, and the candidates
         are found as one join: per length offset within the budget, two
         ``searchsorted`` calls give each query its range of entries of
         that length above its frequency floor. A pair is then rejected
@@ -324,22 +207,44 @@ class SimulatedLLM:
         below (the q = 1 count filter of Gravano et al., VLDB 2001).
         :func:`knowledge.edit_distance` runs only on the pairs left.
         """
-        own = index.arrays()
-        if not own.values or not queries.values:
-            return [None] * len(queries.values)
-        budgets = np.array([kb.typo_budget(v) for v in queries.values],
+        lows = [v.lower() for v, _ in pairs]
+        order = sorted(range(len(pairs)),
+                       key=lambda i: (len(lows[i]), -pairs[i][1]))
+        values = [pairs[i][0] for i in order]
+        lows = [lows[i] for i in order]
+        freqs = np.array([pairs[i][1] for i in order], dtype=np.int64)
+        lens = np.array([len(t) for t in lows], dtype=np.int64)
+        # digit-stripped form ids: equal ids, equal stripped forms
+        ids: dict[str, int] = {}
+        stripped = np.array([ids.setdefault(kb.strip_digits(v), len(ids))
+                             for v in values], dtype=np.int64)
+        # each lower-cased form's character counts over the list's
+        # alphabet (empty when every form is)
+        alphabet, col = np.unique(_code_points("".join(lows)),
+                                  return_inverse=True)
+        width = max(1, len(alphabet))
+        row = np.repeat(np.arange(len(lows)), lens)
+        counts = np.bincount(row * width + col, minlength=len(lows) * width
+                             ).reshape(len(lows), width).astype(np.int32)
+        top = int(freqs.max())
+        span = top - int(freqs.min()) + 1
+        keys = lens * span + (top - freqs)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        rows = rank[np.asarray(queries, dtype=np.int64)]
+        budgets = np.array([kb.typo_budget(values[r]) for r in rows.tolist()],
                            dtype=np.int64)
-        floors = np.ceil(queries.freqs * self.MIN_FREQ_RATIO)
         # each query's last key offset within a length: its floor
-        stop = np.clip(index.top - floors, -1, index.span - 1).astype(np.int64)
+        floors = np.ceil(freqs[rows] * self.MIN_FREQ_RATIO)
+        stop = np.clip(top - floors, -1, span - 1).astype(np.int64)
         qs, cs = [], []
         # a candidate whose length differs by more than the budget is
         # more than the budget away
         top_budget = int(budgets.max())
         for delta in range(-top_budget, top_budget + 1):
-            base = (queries.lens + delta) * index.span
-            lo = np.searchsorted(index.keys, base)
-            hi = np.searchsorted(index.keys, base + stop, side="right")
+            base = (lens[rows] + delta) * span
+            lo = np.searchsorted(keys, base)
+            hi = np.searchsorted(keys, base + stop, side="right")
             size = np.where(budgets >= abs(delta), hi - lo, 0)
             q = np.repeat(np.arange(len(size)), size)
             qs.append(q)
@@ -348,24 +253,23 @@ class SimulatedLLM:
         q, c = np.concatenate(qs), np.concatenate(cs)
         # differing numbers are distinct values, not typos (this also
         # drops the query itself)
-        keep = own.stripped[c] != queries.stripped[q]
+        keep = stripped[c] != stripped[rows[q]]
         q, c = q[keep], c[keep]
-        bound = np.abs(queries.lens[q] - own.lens[c]) + queries.outside[q]
-        step = max(1, _PAIR_CELLS // max(1, len(index.alphabet)))
+        bound = np.abs(lens[rows[q]] - lens[c])
+        step = max(1, _PAIR_CELLS // width)
         for s in range(0, len(q), step):
             part = slice(s, s + step)
-            bound[part] += np.abs(queries.counts[q[part]]
-                                  - own.counts[c[part]]).sum(axis=1)
+            bound[part] += np.abs(counts[rows[q[part]]]
+                                  - counts[c[part]]).sum(axis=1)
         keep = bound <= 2 * budgets[q]
         scored: list[list[tuple[int, int, str]]] = [[] for _ in budgets]
-        budget_of = budgets.tolist()
+        budget_of, row_of = budgets.tolist(), rows.tolist()
         for qi, ci in zip(q[keep].tolist(), c[keep].tolist()):
             budget = budget_of[qi]
-            d = kb.edit_distance(queries.lows[qi], own.lows[ci],
-                                 cap=budget + 1)
+            d = kb.edit_distance(lows[row_of[qi]], lows[ci], cap=budget + 1)
             if d <= budget:
-                scored[qi].append((d, -int(own.freqs[ci]), own.values[ci]))
-        return [self._closest(v, s) for v, s in zip(queries.values, scored)]
+                scored[qi].append((d, -int(freqs[ci]), values[ci]))
+        return [self._closest(values[r], s) for r, s in zip(row_of, scored)]
 
     @staticmethod
     def _closest(value: str, scored: list[tuple[int, int, str]]) -> str | None:
@@ -386,9 +290,9 @@ class SimulatedLLM:
                                values: ValueCounts) -> StringOutlierReview:
         self.calls += 1
         prompt = prompts.string_outlier_detection(column, values)
-        asked = [(v, c) for v, c in values if v is not None]
-        unusual = [v for (v, _), fix in zip(asked, self._fixes(
-            self._index(values), asked)) if fix is not None]
+        fixes = self._fixes(values)
+        unusual = [v for v, c in values
+                   if v is not None and fixes[v, c] is not None]
         if unusual:
             reasoning = (
                 f"{len(unusual)} values look like typos or inconsistent "
@@ -406,12 +310,16 @@ class SimulatedLLM:
 
     def map_string_outliers(self, column: str, unusual: list[str],
                             frequent: ValueCounts) -> StringOutlierMapping:
+        """Map each of ``unusual`` to its correct form, decided over the
+        ``frequent`` list it was reviewed in. A value that is not in
+        ``frequent`` is kept (the prompt's "or keep it if actually
+        acceptable"): it gets no mapping entry."""
         self.calls += 1
         prompt = prompts.string_outlier_cleaning(column, unusual, frequent)
-        freq_of = dict(frequent)
-        asked = [(v, freq_of.get(v, 1)) for v in unusual]
+        fixes, freq_of = self._fixes(frequent), dict(frequent)
         mapping: dict[str, str] = {}
-        for v, fixed in zip(unusual, self._fixes(self._index(frequent), asked)):
+        for v in unusual:
+            fixed = fixes.get((v, freq_of.get(v)))
             if fixed is not None and fixed != v:
                 mapping[v] = fixed
         reasoning = (

@@ -139,9 +139,6 @@ DICTIONARY_WORDS: tuple[str, ...] = (
 )
 DICTIONARY: frozenset[str] = frozenset(DICTIONARY_WORDS)
 
-#: Unit words the volume grammar accepts, canonical form first.
-_VOLUME_UNITS = ("oz", "ounce", "ounces", "oz.")
-
 # ---------------------------------------------------------------------------
 # Edit distance & typo reasoning
 # ---------------------------------------------------------------------------

@@ -407,9 +407,10 @@ def typo_buckets(values: Iterable[tuple[str | None, int]]
 def typo_target(value: str, freq: int,
                 by_len: dict[int, list[tuple[int, str, str, str]]]
                 ) -> str | None:
-    """``SimulatedLLM._typo_targets`` for one value: every candidate in
-    the length window above the frequency floor, nearest first, then
-    most frequent; ``None`` on a tie."""
+    """``SimulatedLLM._typo_targets(pairs, queries)`` for one query row
+    ``(value, freq)`` of the prompt's list that ``by_len`` buckets:
+    every candidate in the length window above the frequency floor,
+    nearest first, then most frequent; ``None`` on a tie."""
     budget = kb.typo_budget(value)
     low = value.lower()
     stripped = kb.strip_digits(value)
@@ -455,11 +456,11 @@ def string_fix(value: str | None, freq: int,
                by_len: dict[int, list[tuple[int, str, str, str]]],
                concepts: dict[tuple[str, object], tuple[int, str]],
                memo: dict[str, str | None] | None = None) -> str | None:
-    """``SimulatedLLM._string_fixes`` for one value: the stages in order
+    """``SimulatedLLM._string_fixes(values)``'s entry for one
+    ``(value, freq)`` of the prompt's ``values``: the stages in order
     (DMV/boolean skip, concept group, typo target, digit-heavy, words),
     the first that decides ends the chain. ``by_len`` and ``concepts``
-    are :func:`typo_buckets` and :func:`concept_groups` of the prompt's
-    values."""
+    are :func:`typo_buckets` and :func:`concept_groups` of ``values``."""
     if value is None or kb.is_dmv_token(value) or kb.boolean_token(value) is not None:
         return None
     ck = _concept_key(value)

@@ -37,17 +37,14 @@ def test_remove_values_absent_noop():
 
 
 def test_fold_is_one_lookup_per_layer():
-    # a CASE layer does not chain its own branches; later layers see
-    # the earlier layers' output
-    assert fold("a", [{"a": "b", "b": "c"}]) == "b"
-    assert fold("a", [{"a": "b"}, {"b": "c"}]) == "c"
-    assert fold("z", [{"a": "b"}]) == "z"
+    # a CASE layer does not chain its own branches
+    assert fold("a", {"a": "b", "b": "c"}) == "b"
+    assert fold("z", {"a": "b"}) == "z"
 
 
 def test_fold_null_stays_null():
-    maps = [{"N/A": None}, {"N/A": "x"}]
-    assert fold("N/A", maps) is None
-    assert fold(None, [{None: "x"}]) is None
+    assert fold("N/A", {"N/A": None}) is None
+    assert fold(None, {None: "x"}) is None
 
 
 def test_fold_cube_of_no_rows():

@@ -200,12 +200,11 @@ def test_numeric_step_skips_column_the_type_step_merged():
 def _movies_review_work() -> dict:
     """What two fresh models do planning Movies, Spark-free: the
     ``edit_distance`` calls of each plan, whether the plans are equal,
-    the prompt indexes of the first plan and how many built the typo
-    search's arrays, and that model's word repairs next to those the
+    the prompt lists the first plan reviewed and how many of them ran
+    the typo search, and that model's word repairs next to those the
     chain per value (``tests/reference_stats.string_fix``) makes over
-    the same prompts."""
+    the same lists."""
     from repro.benchdata import load
-    from repro.llm import client
     from repro.llm import knowledge as kb
     from repro.profiling import fd
     from tests.reference_stats import (concept_groups, string_fix,
@@ -213,36 +212,45 @@ def _movies_review_work() -> dict:
 
     cube = fd.Cube.of(string_table(load("movies").dirty.drop(
         columns="row_id")))
-    calls, built, plans, models = [], [], [], []
-    edit_distance, index_class = kb.edit_distance, client._StringIndex
+    calls, reviewed, searches, plans, models = [], [], [], [], []
+    edit_distance = kb.edit_distance
+    string_fixes, typo_targets = (SimulatedLLM._string_fixes,
+                                  SimulatedLLM._typo_targets)
 
     def counted(*args, **kwargs):
         calls[-1] += 1
         return edit_distance(*args, **kwargs)
 
-    class Recorded(index_class):
-        def __init__(self, values):
-            super().__init__(values)
-            built.append(self)
+    def recorded(self, values):
+        reviewed[-1].append(values)
+        return string_fixes(self, values)
 
-    kb.edit_distance, client._StringIndex = counted, Recorded
+    def searched(self, pairs, queries):
+        searches[-1] += 1
+        return typo_targets(self, pairs, queries)
+
+    kb.edit_distance = counted
+    SimulatedLLM._string_fixes = recorded
+    SimulatedLLM._typo_targets = searched
     try:
         for _ in range(2):
             calls.append(0)
+            reviewed.append([])
+            searches.append(0)
             models.append(SimulatedLLM())
             plans.append(CocoonPipeline(models[-1]).plan(cube, "movies"))
     finally:
-        kb.edit_distance, client._StringIndex = edit_distance, index_class
-    first = built[:len(built) // 2]
+        kb.edit_distance = edit_distance
+        SimulatedLLM._string_fixes = string_fixes
+        SimulatedLLM._typo_targets = typo_targets
     chain_words: dict = {}
-    for index in first:
-        by_len = typo_buckets(index.values)
-        concepts = concept_groups(index.values)
-        for v, c in index.pairs:
-            string_fix(v, c, by_len, concepts, chain_words)
+    for values in reviewed[0]:
+        by_len, concepts = typo_buckets(values), concept_groups(values)
+        for v, c in values:
+            if v is not None:
+                string_fix(v, c, by_len, concepts, chain_words)
     return {"calls": calls, "same_plan": plans[0] == plans[1],
-            "indexes": len(first),
-            "arrays": sum(index.entries is not None for index in first),
+            "lists": len(reviewed[0]), "searched": searches[0],
             "words": models[0]._word_fixes, "chain_words": chain_words}
 
 
@@ -251,11 +259,12 @@ def test_fresh_models_do_the_same_review_work():
     the process: two fresh models planning Movies make the same number
     of ``edit_distance`` calls, and the same plan. The review batched
     per prompt looks up exactly the chain's words (181 at this seed,
-    with the same repairs), builds the typo search's arrays only for
-    the 12 of 34 prompts where a value can reach its frequency floor,
-    and makes no more ``edit_distance`` calls than the 9,936 of the
-    search that built them for every prompt. Movies' table depends on
-    ``PYTHONHASHSEED``, so the plans run in a child at seed 0."""
+    with the same repairs), runs the typo search, which builds its
+    arrays, only for the 12 of 34 prompt lists where a value can reach
+    its frequency floor, and makes no more ``edit_distance`` calls than
+    the 9,936 of a search that built them for every list. Movies' table
+    depends on ``PYTHONHASHSEED``, so the plans run in a child at seed
+    0."""
     import json
     import os
     import subprocess
@@ -274,7 +283,7 @@ def test_fresh_models_do_the_same_review_work():
     assert work["same_plan"]
     assert work["words"] == work["chain_words"]
     assert len(work["words"]) == 181
-    assert (work["arrays"], work["indexes"]) == (12, 34)
+    assert (work["searched"], work["lists"]) == (12, 34)
 
 
 def test_duplicates_removed_without_row_id(spark):

@@ -101,7 +101,7 @@ def test_mapping_case_emits_valid_duckdb_sql(col, mapping):
                           f"(VALUES {rows}) t({col})").fetchall()
     finally:
         con.close()
-    assert dict(out) == {v: fold(v, [mapping]) for v in probes}
+    assert dict(out) == {v: fold(v, mapping) for v in probes}
 
 
 @given(st.integers(0, 59), st.integers(0, 23))

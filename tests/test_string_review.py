@@ -1,18 +1,19 @@
-"""The indexed string review (§2.1.1) decides exactly like a brute-force
-scan of the prompt's value list; its review batched per prompt decides
-exactly like the chain of stages run on one value at a time, and its
-batched typo search answers exactly what a loop per value over length
-buckets answers (``tests/reference_stats.py``), on drawn lists and on
-every prompt that the five benchmarks' plans send. (``edit_distance``
+"""The string review (§2.1.1) decides exactly like a brute-force scan of
+the prompt's value list; its review batched per prompt decides exactly
+like the chain of stages run on one value at a time, and its batched
+typo search answers exactly what a loop per value over length buckets
+answers (``tests/reference_stats.py``), on drawn lists and on every
+prompt that the five benchmarks' plans send. A value that the cleaning
+prompt is asked about from outside its list is kept. (``edit_distance``
 itself is checked against a full-matrix Levenshtein in
 ``test_properties.py``.)"""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.llm import SimulatedLLM, client
+from repro.llm import SimulatedLLM
 from repro.llm import knowledge as kb
-from repro.llm.client import _concept_key, _digit_heavy, _Strings
+from repro.llm.client import _concept_key, _digit_heavy
 from tests.reference_stats import (concept_groups, string_fix, typo_buckets,
                                    typo_target)
 
@@ -126,24 +127,27 @@ def test_indexed_review_matches_brute_force(values, extra):
     asked = list(want_unusual) + [extra]  # extra may be missing from the list
     want_map = {}
     for v in asked:
-        fixed = _oracle_fix(v, values, freq_of.get(v, 1))
+        if v not in freq_of:
+            continue  # a value outside the list is kept
+        fixed = _oracle_fix(v, values, freq_of[v])
         if fixed is not None and fixed != v:
             want_map[v] = fixed
 
     llm = SimulatedLLM()
     review = llm.review_string_outliers("col", values)
     assert review.unusual_values == want_unusual
-    # the cleaning prompt over the same list reuses the review's index
+    # the cleaning prompt over the same list reuses the review's decisions
     assert llm.map_string_outliers("col", asked, values).mapping == want_map
     assert (SimulatedLLM().map_string_outliers("col", asked, values).mapping
             == want_map)
 
 
-def _batched(index):
-    """The batched search's answer for each of ``index``'s entries."""
-    own = index.arrays()
-    got = SimulatedLLM()._typo_targets(index, own)
-    return dict(zip(zip(own.values, own.freqs.tolist()), got))
+def _batched(values):
+    """The batched search's answer for each non-NULL ``(value, freq)``,
+    all of them searched as one batch."""
+    pairs = [(v, c) for v, c in values if v is not None]
+    got = SimulatedLLM()._typo_targets(pairs, range(len(pairs)))
+    return dict(zip(pairs, got))
 
 
 def _looped(values):
@@ -154,33 +158,36 @@ def _looped(values):
 
 
 @settings(max_examples=300, deadline=None)
-@given(values_st, words, freqs)
-def test_batched_typo_search_matches_the_loop(values, extra, extra_freq):
-    """Every entry of a drawn list, searched as one batch, and an
-    outside value searched alone, get the loop's typo target."""
-    index = client._StringIndex(tuple(values))
-    assert _batched(index) == _looped(values)
-    by_len = typo_buckets(values)
-    alone = _Strings([extra], [extra_freq], [extra.lower()], index.alphabet,
-                     index.stripped)
-    assert (SimulatedLLM()._typo_targets(index, alone)
-            == [typo_target(extra, extra_freq, by_len)])
+@given(values_st, words)
+# every lower-cased form empty: the count matrix has no columns
+@example([("", 0)], "x")
+def test_batched_typo_search_matches_the_loop(values, extra):
+    """Every entry of a drawn list, searched as one batch, gets the
+    loop's typo target; the review of the list decides as the chain
+    does, and an outside value asked about is kept."""
+    assert _batched(values) == _looped(values)
+    by_len, concepts = typo_buckets(values), concept_groups(values)
+    llm = SimulatedLLM()
+    assert llm.review_string_outliers("col", values).unusual_values == tuple(
+        v for v, c in values if string_fix(v, c, by_len, concepts) is not None)
+    if extra not in dict(values):
+        assert llm.map_string_outliers("col", [extra], values).mapping == {}
 
 
 def test_odd_values_are_searched_like_the_loop():
     """A lone surrogate, NUL, the empty string and backslashes are
-    indexed and searched without raising, as the loop decides, also
-    when asked about from outside the list."""
+    searched without raising, as the loop decides; odd values asked
+    about from outside the list are kept."""
     values = ([(v, 1) for v in ODD]
               + [(v, 50) for v in ("\ud800xz", "\x00b", "ab\\", "x", "\\\\")])
-    index = client._StringIndex(tuple(values))
-    assert _batched(index) == _looped(values)
+    assert _batched(values) == _looped(values)
     llm = SimulatedLLM()
     review = llm.review_string_outliers("col", values)
-    asked = list(review.unusual_values) + ["\ud801", "\\x", "\x00\x00"]
     by_len = typo_buckets(values)
-    want = {v: typo_target(v, dict(values).get(v, 1), by_len) for v in asked}
+    want = {v: typo_target(v, dict(values)[v], by_len)
+            for v in review.unusual_values}
     assert want["\ud800xy"] == "\ud800xz" and want["\x00a"] == "\x00b"
+    asked = list(review.unusual_values) + ["\ud801", "\\x", "\x00\x00"]
     got = llm.map_string_outliers("col", asked, values).mapping
     assert got == {v: t for v, t in want.items() if t is not None}
 
@@ -188,35 +195,76 @@ def test_odd_values_are_searched_like_the_loop():
 @pytest.mark.parametrize(
     "name", ["hospital", "rayyan", "beers", "flights", "movies"])
 def test_benchmark_typo_searches_match_the_loop(monkeypatch, name):
-    """Every prompt index a Spark-free plan of the benchmark builds
-    answers each of its ``(value, freq)`` as the loop does, and the
-    fixes the plan's review made in one batch per prompt are the
-    chain's, for every value of the list."""
+    """Every prompt list a Spark-free plan of the benchmark reviews is
+    searched as the loop searches it, the fixes the plan's review made
+    in one batch per prompt are the chain's, for every value of the
+    list, and the plan runs at most one typo search per list."""
     from repro.benchdata import load
     from repro.core.pipeline import CocoonPipeline
     from repro.profiling import fd
     from tests.reference_stats import string_table
 
-    built = []
+    reviewed, searches = [], []
+    string_fixes, typo_targets = (SimulatedLLM._string_fixes,
+                                  SimulatedLLM._typo_targets)
 
-    class Recorded(client._StringIndex):
-        def __init__(self, values):
-            super().__init__(values)
-            built.append(self)
+    def recorded(self, values):
+        fixes = string_fixes(self, values)
+        reviewed.append((values, fixes))
+        return fixes
 
-    monkeypatch.setattr(client, "_StringIndex", Recorded)
+    def counted(self, pairs, queries):
+        searches.append(len(queries))
+        return typo_targets(self, pairs, queries)
+
+    monkeypatch.setattr(SimulatedLLM, "_string_fixes", recorded)
+    monkeypatch.setattr(SimulatedLLM, "_typo_targets", counted)
     cube = fd.Cube.of(string_table(load(name).dirty.drop(columns="row_id")))
     CocoonPipeline(SimulatedLLM()).plan(cube, name)
-    assert built
+    assert reviewed
+    assert len(searches) <= len(reviewed)
     memo = {}
-    for index in built:
-        values = index.values
-        assert _batched(index) == _looped(values)
+    for values, fixes in reviewed:
+        assert _batched(values) == _looped(values)
         by_len, concepts = typo_buckets(values), concept_groups(values)
-        assert index.fixes.keys() >= set(index.pairs)
-        assert index.fixes == {
-            (v, c): string_fix(v, c, by_len, concepts, memo)
-            for v, c in index.fixes}
+        assert fixes == {(v, c): string_fix(v, c, by_len, concepts, memo)
+                         for v, c in values if v is not None}
+
+
+def test_outside_value_is_kept():
+    """The cleaning prompt maps an in-list typo and keeps a value that
+    is not in its list, however close to a frequent value it is."""
+    values = [("Birmingham", 40), ("Birminghm", 1), ("Boston", 30)]
+    mapping = SimulatedLLM().map_string_outliers(
+        "city", ["Birminghm", "Bostn"], values).mapping
+    assert mapping == {"Birminghm": "Birmingham"}
+
+
+@pytest.mark.parametrize(
+    "name", ["hospital", "rayyan", "beers", "flights", "movies"])
+def test_cleaning_prompts_ask_only_about_their_lists_values(monkeypatch,
+                                                            name):
+    """Every value a Spark-free plan of the benchmark asks the cleaning
+    prompt to map is in that prompt's ``frequent`` list, so keeping an
+    outside value changes no plan."""
+    from repro.benchdata import load
+    from repro.core.pipeline import CocoonPipeline
+    from repro.profiling import fd
+    from tests.reference_stats import string_table
+
+    asked = []
+    map_string_outliers = SimulatedLLM.map_string_outliers
+
+    def recorded(self, column, unusual, frequent):
+        asked.append((unusual, {v for v, _ in frequent}))
+        return map_string_outliers(self, column, unusual, frequent)
+
+    monkeypatch.setattr(SimulatedLLM, "map_string_outliers", recorded)
+    cube = fd.Cube.of(string_table(load(name).dirty.drop(columns="row_id")))
+    CocoonPipeline(SimulatedLLM()).plan(cube, name)
+    assert asked
+    for unusual, frequent in asked:
+        assert set(unusual) <= frequent
 
 
 # -- the review batched per prompt against the chain per value ---------------
@@ -269,28 +317,32 @@ def review_lists(draw):
 @given(review_lists(), misspelt_text | clean_text)
 def test_batched_review_matches_the_chain(values, extra):
     """The review and the cleaning prompt over a drawn list decide every
-    value, and an outside value, as the chain run on that value alone
-    does."""
+    value as the chain run on that value alone does, and keep an
+    outside value."""
     by_len, concepts = typo_buckets(values), concept_groups(values)
     freq_of = dict(values)
 
     def fix(v):
-        return string_fix(v, freq_of.get(v, 1), by_len, concepts)
+        return string_fix(v, freq_of[v], by_len, concepts)
 
     want_unusual = tuple(v for v, _ in values if fix(v) is not None)
     asked = list(want_unusual) + [extra]  # extra may be missing from the list
-    want_map = {v: fix(v) for v in asked if fix(v) not in (None, v)}
+    want_map = {v: fix(v) for v in asked
+                if v in freq_of and fix(v) not in (None, v)}
     llm = SimulatedLLM()
     assert llm.review_string_outliers("col", values).unusual_values == want_unusual
     assert llm.map_string_outliers("col", asked, values).mapping == want_map
 
 
-def test_no_value_reaching_the_floor_builds_no_arrays():
+def test_no_value_reaching_the_floor_builds_no_arrays(monkeypatch):
     """A list whose top frequency is under every value's floor is
-    reviewed without the typo search's arrays, also for a list of
-    one value."""
+    reviewed without the typo search, which builds the arrays, also for
+    a list of one value."""
+    def searched(self, pairs, queries):
+        raise AssertionError(f"searched {pairs!r}")
+
+    monkeypatch.setattr(SimulatedLLM, "_typo_targets", searched)
     for values in ([("BIRMINGHAM", 4)],
                    [("Birmingham", 3), ("Birminghm", 1), ("Boston", 2)]):
         llm = SimulatedLLM()
         assert llm.review_string_outliers("col", values).unusual_values == ()
-        assert llm._string_index.entries is None
